@@ -11,8 +11,14 @@ laws:
 
 Densities are exposed in the log domain; at realistic dimensions they
 underflow doubles.  The univariate cdf is a regularized incomplete beta
-evaluated with a modified Lentz continued fraction; the quantile is a
-bracketed Newton iteration on the cdf.
+evaluated with a modified Lentz continued fraction.  For integer shapes
+it is a binomial tail, I_x(a, b) = P[Binomial(a + b - 1, x) >= a], which
+the planner uses to search measurement counts.  The quantile is a
+bracketed Newton iteration on the log of the tail holding q (the cdf
+below the median, the mirrored upper tail above it).  It starts at the
+normal approximation mean + z * sd, or at the mean when that point lies
+outside (0, 1), and stops when a Newton step moves x by at most 1e-15
+relative to x or the bracket collapses to adjacent doubles.
 
 Convention for eigenvalue densities: symmetric in the arguments, so the
 value integrates to p! over the unit cube, or equivalently to 1 over
@@ -24,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
@@ -37,6 +44,10 @@ SUPPORT_TOL = 1e-10
 _CF_MAX_ITER = 200
 _CF_EPS = 3e-16
 _CF_FPMIN = 1e-300
+
+_QUANTILE_MAX_ITER = 200
+# Newton steps this small relative to x end the quantile iteration.
+_QUANTILE_XTOL = 1e-15
 
 
 @dataclass(frozen=True)
@@ -181,27 +192,43 @@ def _cdf_scalar(law: BetaLaw, x: float) -> float:
 def _quantile_scalar(law: BetaLaw, q: float) -> float:
     if not 0.0 < q < 1.0:
         raise DomainError(f"quantile argument must lie in (0, 1), got {q}")
+    # Iterate on the tail holding q: the cdf below the median, the upper
+    # tail 1 - F(x) = I_{1-x}(b, a) of the mirrored law above it, so both
+    # the tail mass and the target 1 - q (exact for q > 1/2) keep their
+    # relative precision.
+    upper = q > 0.5
+    mirror = BetaLaw(law.b, law.a) if upper else law
+    target = math.log1p(-q) if upper else math.log(q)
+    x = law.mean + NormalDist().inv_cdf(q) * math.sqrt(law.variance)
+    if not 0.0 < x < 1.0:
+        x = law.mean
     lo, hi = 0.0, 1.0
-    x = law.mean
-    for _ in range(200):
-        f = _cdf_scalar(law, x) - q
-        if abs(f) < 1e-13:
+    for _ in range(_QUANTILE_MAX_ITER):
+        tail = _cdf_scalar(mirror, 1.0 - x) if upper else _cdf_scalar(law, x)
+        # an underflowed tail puts x further out than the quantile
+        excess = math.log(tail) - target if tail > 0.0 else -math.inf
+        if excess == 0.0:
             return x
-        if f > 0.0:
+        # the tail exceeds its target when x lies above the quantile for
+        # the cdf, below it for the upper tail
+        if (excess > 0.0) != upper:
             hi = x
         else:
             lo = x
-        d = _pdf_scalar(law, x)
-        if d > 0.0 and math.isfinite(d):
-            xn = x - f / d
-        else:
-            xn = 0.5 * (lo + hi)
-        if not lo < xn < hi:
-            xn = 0.5 * (lo + hi)
         # bracket collapsed to adjacent doubles: no better x exists
         if hi - lo <= np.spacing(lo):
             return x
-        x = xn
+        d = _pdf_scalar(law, x)
+        if d > 0.0 and math.isfinite(d) and math.isfinite(excess):
+            # Newton step on log(tail) - target; the tail's slope in x is
+            # pdf for the cdf and -pdf for the upper tail
+            step = (excess if upper else -excess) * tail / d
+            if abs(step) <= _QUANTILE_XTOL * x:
+                return x + step
+            x += step
+        # x sits on the bracket unless a Newton step moved it inside
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
     raise NoConvergence(f"beta quantile iteration stalled for a={law.a}, b={law.b}, q={q}")
 
 

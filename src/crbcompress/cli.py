@@ -36,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import betalaw, fisher, mcharness, planner, svgfig
+from . import __version__, betalaw, fisher, mcharness, planner, svgfig
 from .errors import (
     BadShape,
     BadSpec,
@@ -52,8 +52,6 @@ from .errors import (
 )
 from .randcomp import FAMILIES, CompressorSpec, derive_stream, sample
 from .sigmodel import Source, UlaModel, UlaScenario, two_source_half_rayleigh
-
-VERSION = "0.1.0"
 
 _CONFIG_ERRORS = (BadSpec, BadShape, DomainError, TooFewSamples)
 _NUMERICAL_ERRORS = (
@@ -217,7 +215,7 @@ def _write_manifest(outdir: Path, command: str, argv, config: dict, seed: int, o
         "argv": list(argv),
         "config": config,
         "seed": seed,
-        "version": VERSION,
+        "version": __version__,
         "outputs": sorted(str(p) for p in outputs),
         "duration_s": time.perf_counter() - t0,
     }
@@ -705,7 +703,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="crb-compress",
         description="Fisher information and Cramer-Rao bounds under random compression",
     )
-    parser.add_argument("--version", action="version", version=f"crb-compress {VERSION}")
+    parser.add_argument("--version", action="version", version=f"crb-compress {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
 
     sub = subs.add_parser("fisher", help="information matrix and CRBs for a scenario")

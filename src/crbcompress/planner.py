@@ -11,14 +11,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Sequence
 
 import numpy as np
 
 from . import betalaw, cxla
-from .errors import BadShape, DomainError, Infeasible, NotPositiveDefinite
+from .errors import BadShape, DomainError, Infeasible, NoConvergence, NotPositiveDefinite
 
 DEFAULT_CONFIDENCES = (0.90, 0.99)
+
+# Rounds of exact confirmation min_measurements makes before giving up;
+# each failed confirmation re-anchors the binomial walk at an exact value.
+_MAX_CONFIRMATIONS = 4
 
 
 @dataclass(frozen=True)
@@ -58,7 +63,9 @@ def confidence_at(n: int, m: int, p: int, kappa: float) -> float:
     """P[CRB after <= kappa * CRB before] under random compression.
 
     The before/after ratio follows Beta(m - p + 1, n - m), so the value
-    is one minus its cdf at 1/kappa.  Requires p < m <= n - p.
+    is one minus its cdf at 1/kappa.  By the binomial identity
+    I_x(a, b) = P[Binomial(a + b - 1, x) >= a] it equals
+    P[Binomial(n - p, 1/kappa) <= m - p].  Requires p < m <= n - p.
     """
     if not (isinstance(n, int) and isinstance(m, int) and isinstance(p, int)):
         raise DomainError("n, m, p must be ints")
@@ -74,41 +81,86 @@ def confidence_at(n: int, m: int, p: int, kappa: float) -> float:
     return 1.0 - float(betalaw.beta_cdf(law, 1.0 / kappa))
 
 
+def _walk(trials: int, x: float, k: int, c: float, confidence: float, lo: int, hi: int) -> int:
+    """Binomial-tail walk from an exact anchor to the confidence crossing.
+
+    ``c`` is P[Binomial(trials, x) <= k].  Each step adds (upward) or
+    removes (downward) one pmf term, carried by its log-space recurrence.
+    Returns the smallest k in [lo, hi] whose walked cdf reaches
+    ``confidence``, or hi when none does.
+    """
+    log_odds = math.log(x) - math.log1p(-x)
+    lp = (
+        math.lgamma(trials + 1)
+        - math.lgamma(k + 1)
+        - math.lgamma(trials - k + 1)
+        + k * math.log(x)
+        + (trials - k) * math.log1p(-x)
+    )
+    if c >= confidence:
+        while k > lo:
+            c -= math.exp(lp)
+            if c < confidence:
+                break
+            lp += math.log(k / (trials - k + 1)) - log_odds
+            k -= 1
+        return k
+    while k < hi and c < confidence:
+        lp += math.log((trials - k) / (k + 1)) + log_odds
+        k += 1
+        c += math.exp(lp)
+    return k
+
+
 def min_measurements(query: PlanQuery) -> int:
     """Smallest m with confidence_at(n, m, p, kappa) >= confidence.
 
-    Searches p + 2 <= m <= n - p by bisection; the confidence is
-    nondecreasing in m.  Raises Infeasible (carrying the best
+    The confidence is P[Binomial(n - p, 1/kappa) <= m - p], nondecreasing
+    in m, so the search starts at the normal-approximation quantile of
+    that binomial, walks its pmf to the crossing, and confirms the
+    boundary with exact confidence_at values at m and m - 1 (at m alone
+    on the floor m = p + 2).  A confirmation that fails re-anchors the
+    walk at the exact value; after _MAX_CONFIRMATIONS of them the search
+    raises NoConvergence.  Raises Infeasible (carrying the best
     achievable confidence) when even m = n - p falls short.
     """
     n, p, kappa, confidence = query.n, query.p, query.kappa, query.confidence
-    floor = p + 2
-    lo = floor
+    lo = p + 2
     hi = n - p
     if hi < lo:
         raise Infeasible(
             f"no admissible m exists for n={n}, p={p} (need p + 2 <= m <= n - p)",
             max_confidence=0.0,
         )
-    best = confidence_at(n, hi, p, kappa)
-    if best < confidence:
-        raise Infeasible(
-            f"confidence {confidence} at kappa={kappa} is unreachable for n={n}, p={p}; "
-            f"the best achievable is {best:.6f} at m={hi}",
-            max_confidence=best,
-        )
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if confidence_at(n, mid, p, kappa) >= confidence:
-            hi = mid
-        else:
-            lo = mid + 1
-    m_star = lo
-    # Boundary property: m_star reaches the target and, above the search
-    # floor, m_star - 1 does not.
-    assert confidence_at(n, m_star, p, kappa) >= confidence
-    assert m_star == floor or confidence_at(n, m_star - 1, p, kappa) < confidence
-    return m_star
+    exact: dict[int, float] = {}
+
+    def exact_at(m: int) -> float:
+        if m not in exact:
+            exact[m] = confidence_at(n, m, p, kappa)
+        return exact[m]
+
+    x = 1.0 / kappa
+    trials = n - p
+    z = NormalDist().inv_cdf(confidence)
+    start = trials * x + z * math.sqrt(trials * x * (1.0 - x)) - 0.5
+    m = min(max(p + math.ceil(start), lo), hi)
+    for _ in range(_MAX_CONFIRMATIONS):
+        m = p + _walk(trials, x, m - p, exact_at(m), confidence, lo - p, hi - p)
+        if exact_at(m) < confidence:
+            if m == hi:
+                raise Infeasible(
+                    f"confidence {confidence} at kappa={kappa} is unreachable for n={n}, p={p}; "
+                    f"the best achievable is {exact[m]:.6f} at m={hi}",
+                    max_confidence=exact[m],
+                )
+            continue
+        if m == lo or exact_at(m - 1) < confidence:
+            return m
+        m -= 1
+    raise NoConvergence(
+        f"binomial-tail walk did not confirm a boundary in {_MAX_CONFIRMATIONS} rounds "
+        f"for n={n}, p={p}, kappa={kappa}, confidence={confidence}"
+    )
 
 
 def curve(

@@ -161,6 +161,16 @@ def test_beta_quantile_matches_scipy():
         np.testing.assert_allclose(beta_quantile(law, qs), ref, atol=1e-11)
 
 
+def test_beta_quantile_tails_match_betaincinv():
+    # deep in both tails the answer must be right in x, not only in the
+    # cdf: an absolute cdf stop at these q lands far from the quantile
+    qs = [1e-15, 1e-12, 1e-6, 1.0 - 1e-9]
+    for a, b in [(15, 16), (63, 64), (256, 768), (4997, 5000)]:
+        law = BetaLaw(float(a), float(b))
+        ref = scipy.special.betaincinv(a, b, qs)
+        np.testing.assert_allclose(beta_quantile(law, qs), ref, rtol=1e-10)
+
+
 def test_matrix_beta_law_validation():
     with pytest.raises(DomainError):
         MatrixBetaLaw(p=0, m=4, n=12)

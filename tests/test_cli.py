@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+import crbcompress
 from crbcompress import cli
 from crbcompress.betalaw import BetaLaw, beta_cdf, beta_pdf
 from crbcompress.mcharness import ExperimentConfig, run
@@ -101,7 +102,7 @@ def test_argparse_problems_exit_one(capsys):
 
 def test_version_and_help_exit_zero(capsys):
     assert cli.main(["--version"]) == 0
-    assert "crb-compress" in capsys.readouterr().out
+    assert capsys.readouterr().out.strip() == f"crb-compress {crbcompress.__version__}"
     assert cli.main(["--help"]) == 0
     capsys.readouterr()
 
@@ -337,7 +338,7 @@ def test_manifest_records_argv_and_seed(tmp_path, capsys):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["argv"] == args
     assert manifest["seed"] == 8
-    assert manifest["version"] == cli.VERSION
+    assert manifest["version"] == crbcompress.__version__
     assert sorted(manifest["outputs"]) == manifest["outputs"]
     assert manifest["duration_s"] > 0.0
     assert math.isfinite(manifest["duration_s"])

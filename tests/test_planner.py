@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from crbcompress.betalaw import beta_cdf, crb_ratio_law
-from crbcompress.errors import BadShape, DomainError, Infeasible, NotPositiveDefinite
+from crbcompress import planner
+from crbcompress.errors import BadShape, DomainError, Infeasible, NoConvergence, NotPositiveDefinite
 from crbcompress.fisher import compressed_crb, crb, fim
 from crbcompress.planner import (
     PlanQuery,
@@ -21,6 +23,19 @@ def test_confidence_is_one_minus_the_tail_cdf():
     law = crb_ratio_law(64, 24, 2)
     expected = 1.0 - beta_cdf(law, 1.0 / 1.7)
     np.testing.assert_allclose(confidence_at(64, 24, 2, 1.7), expected, rtol=1e-14)
+
+
+def test_confidence_matches_the_binomial_cdf():
+    # confidence_at(n, m, p, kappa) = P[Binomial(n - p, 1/kappa) <= m - p];
+    # the value is one minus a cdf, so below ~1e-4 it is resolved to one
+    # ulp of 1 rather than relatively
+    for n in (8, 13, 40, 97, 200):
+        for p in (1, 2, 4):
+            for kappa in (1.1, 1.5, 2.0, 3.0):
+                ms = range(p + 1, n - p + 1)
+                values = [confidence_at(n, m, p, kappa) for m in ms]
+                ref = scipy.stats.binom.cdf([m - p for m in ms], n - p, 1.0 / kappa)
+                np.testing.assert_allclose(values, ref, rtol=1e-12, atol=np.finfo(float).eps)
 
 
 def test_confidence_edge_cases():
@@ -56,6 +71,55 @@ def test_min_measurements_boundary_property():
         assert confidence_at(n, m_star, p, kappa) >= confidence
         if m_star > p + 2:
             assert confidence_at(n, m_star - 1, p, kappa) < confidence
+
+
+def _scan(n, p, kappa, confidence):
+    """Linear-scan answer: the smallest admissible m, or the best confidence."""
+    values = {m: confidence_at(n, m, p, kappa) for m in range(p + 2, n - p + 1)}
+    for m, value in values.items():
+        if value >= confidence:
+            return m, None
+    return None, values.get(n - p, 0.0)
+
+
+def test_min_measurements_matches_a_linear_scan():
+    kinds = set()
+    for p in (1, 2, 4):
+        for n in sorted({p + 2, p + 3, 2 * p + 2, 9, 16, 41, 97, 200}):
+            for kappa in (1.1, 1.5, 2.0, 3.0):
+                for confidence in (0.5, 0.9, 0.99):
+                    m_scan, best = _scan(n, p, kappa, confidence)
+                    query = PlanQuery(n=n, p=p, kappa=kappa, confidence=confidence)
+                    if m_scan is None:
+                        kinds.add("infeasible")
+                        with pytest.raises(Infeasible) as exc_info:
+                            min_measurements(query)
+                        assert exc_info.value.max_confidence == best
+                    else:
+                        kinds.add("floor" if m_scan == p + 2 else "interior")
+                        assert min_measurements(query) == m_scan, (n, p, kappa, confidence)
+    assert kinds == {"infeasible", "floor", "interior"}
+
+
+@pytest.mark.parametrize("p", [1, 2, 4])
+def test_min_measurements_at_a_million_matches_the_binomial_oracle(p):
+    n = 10**6
+    for kappa, confidence in [(1.5, 0.9), (2.0, 0.99), (1.1, 0.9), (1.02, 0.999)]:
+        law = scipy.stats.binom(n - p, 1.0 / kappa)
+        k = int(law.ppf(confidence))
+        while law.cdf(k) < confidence:
+            k += 1
+        while law.cdf(k - 1) >= confidence:
+            k -= 1
+        query = PlanQuery(n=n, p=p, kappa=kappa, confidence=confidence)
+        assert min_measurements(query) == max(k + p, p + 2)
+
+
+def test_min_measurements_raises_when_the_walk_cannot_be_confirmed(monkeypatch):
+    # exact values that contradict the binomial walk at every anchor
+    monkeypatch.setattr(planner, "confidence_at", lambda n, m, p, kappa: 1.0)
+    with pytest.raises(NoConvergence):
+        min_measurements(PlanQuery(n=10_000, p=2, kappa=2.0, confidence=0.9))
 
 
 def test_min_measurements_generous_kappa_hits_the_floor():
