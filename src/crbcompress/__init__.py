@@ -14,6 +14,7 @@ from .betalaw import (
     beta_cdf,
     beta_pdf,
     beta_quantile,
+    beta_sf,
     crb_ratio_law,
     eig_joint_logpdf,
     fim_after_logpdf,
@@ -50,7 +51,6 @@ from .fisher import (
     compressed_fim,
     compressed_kl,
     crb,
-    crb_angle_form,
     fim,
     kl_divergence,
     normalized_fim,

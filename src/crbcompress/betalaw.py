@@ -10,15 +10,34 @@ laws:
 * KL divergence after/before ratio (scalar covariance): Beta(m, n - m).
 
 Densities are exposed in the log domain; at realistic dimensions they
-underflow doubles.  The univariate cdf is a regularized incomplete beta
-evaluated with a modified Lentz continued fraction.  For integer shapes
-it is a binomial tail, I_x(a, b) = P[Binomial(a + b - 1, x) >= a], which
-the planner uses to search measurement counts.  The quantile is a
-bracketed Newton iteration on the log of the tail holding q (the cdf
-below the median, the mirrored upper tail above it).  It starts at the
-normal approximation mean + z * sd, or at the mean when that point lies
-outside (0, 1), and stops when a Newton step moves x by at most 1e-15
-relative to x or the bracket collapses to adjacent doubles.
+underflow doubles.  The univariate cdf is the regularized incomplete
+beta I_x(a, b), computed after DiDonato & Morris, Algorithm 708, ACM
+TOMS 18 (1992), in three regions of lambda = a - (a + b) x (formed
+exactly):
+
+* a, b > 100 and |lambda| <= 0.03 min(a, b): Temme's uniform asymptotic
+  expansion (TOMS 708 basym), an erfc leading term plus a series in
+  1/sqrt(min(a, b)), for the tail below the mean (the mirrored law
+  Beta(b, a) at 1 - x when lambda < 0);
+* elsewhere, x < (a + 1) / (a + b + 2): the prefactor
+  x^a (1 - x)^b / B(a, b) times the TOMS 708 continued fraction bfrac;
+* elsewhere, x above that point: the same for the upper tail, as
+  Beta(b, a) at 1 - x.
+
+The prefactor, shared with the density, never subtracts lgamma values:
+for a, b >= 8 it is built from rlog1(t) = t - ln(1 + t) and the
+Stirling remainder (TOMS 708 brcomp, bcorr), and when only the larger
+shape is >= 8, ln B(a, b) takes ln Gamma(a + b) - ln Gamma(max) from
+the remainder too (algdiv).  Each region computes its tail directly, so
+both tails keep their relative precision: beta_cdf is the lower one,
+beta_sf the upper.  For integer shapes I_x(a, b) is a binomial tail,
+P[Binomial(a + b - 1, x) >= a], which the planner uses to search
+measurement counts.  The quantile is a bracketed Newton iteration on
+the log of the tail holding q (the cdf below the median, the upper tail
+above it).  It starts at the normal approximation mean + z * sd, or at
+the mean when that point lies outside (0, 1), and stops when a Newton
+step moves x by at most 1e-15 relative to x or the bracket collapses to
+adjacent doubles.
 
 Convention for eigenvalue densities: symmetric in the arguments, so the
 value integrates to p! over the unit cube, or equivalently to 1 over
@@ -30,6 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 from statistics import NormalDist
 
 import numpy as np
@@ -42,8 +62,18 @@ from .errors import BadShape, DomainError, NoConvergence, NotPositiveDefinite, S
 SUPPORT_TOL = 1e-10
 
 _CF_MAX_ITER = 200
-_CF_EPS = 3e-16
-_CF_FPMIN = 1e-300
+_CF_EPS = 1e-15
+
+# Temme's expansion (TOMS 708 basym) replaces the fraction when both
+# shapes exceed _BASYM_MIN_SHAPE and |lambda| <= _BASYM_LAMBDA_FRAC * min(a, b).
+_BASYM_MIN_SHAPE = 100.0
+_BASYM_LAMBDA_FRAC = 0.03
+_BASYM_MAX_TERMS = 20
+_BASYM_EPS = 1e-15
+_E0 = 2.0 / math.sqrt(math.pi)
+_E1 = 2.0**-1.5
+# Veltkamp splitter 2^27 + 1 for exact products
+_SPLIT = 134217729.0
 
 _QUANTILE_MAX_ITER = 200
 # Newton steps this small relative to x end the quantile iteration.
@@ -116,44 +146,260 @@ def ln_cmv_gamma(p: int, a: float) -> float:
     return out
 
 
+def _rlog1(x: float) -> float:
+    """x - ln(1 + x) without cancellation (TOMS 708 rlog1)."""
+    if x < -0.39 or x > 0.57:
+        return x - math.log1p(x)
+    if x < -0.18:
+        h = (x + 0.3) / 0.7
+        w1 = 0.0566749439387324 - 0.3 * h
+    elif x > 0.18:
+        h = 0.75 * x - 0.25
+        w1 = 0.0456512608815524 + h / 3.0
+    else:
+        h = x
+        w1 = 0.0
+    r = h / (h + 2.0)
+    t = r * r
+    w = ((0.00620886815375787 * t - 0.224696413112536) * t + 0.333333333333333) / (
+        (0.354508718369557 * t - 1.27408923933623) * t + 1.0
+    )
+    return 2.0 * t * (1.0 / (1.0 - r) - r * w) + w1
+
+
+# Minimax coefficients of the Stirling remainder del(s) for s >= 8 (TOMS 708).
+_C0 = 0.0833333333333333
+_C1 = -0.00277777777760991
+_C2 = 7.9365066682539e-4
+_C3 = -5.9520293135187e-4
+_C4 = 8.37308034031215e-4
+_C5 = -0.00165322962780713
+
+
+def _stirling_series(a: float, b: float) -> float:
+    """del(b) - del(a + b) for b >= 8, shared by _bcorr and _algdiv.
+
+    del(s) is the Stirling remainder,
+    ln Gamma(s) = (s - 1/2) ln s - s + ln(2 pi) / 2 + del(s).
+    """
+    if a > b:
+        h = b / a
+        c = 1.0 / (h + 1.0)
+        x = h / (h + 1.0)
+    else:
+        h = a / b
+        c = h / (h + 1.0)
+        x = 1.0 / (h + 1.0)
+    x2 = x * x
+    s3 = x + x2 + 1.0
+    s5 = x + x2 * s3 + 1.0
+    s7 = x + x2 * s5 + 1.0
+    s9 = x + x2 * s7 + 1.0
+    s11 = x + x2 * s9 + 1.0
+    t = (1.0 / b) ** 2
+    w = (
+        (((_C5 * s11 * t + _C4 * s9) * t + _C3 * s7) * t + _C2 * s5) * t + _C1 * s3
+    ) * t + _C0
+    return w * c / b
+
+
+def _bcorr(a: float, b: float) -> float:
+    """del(a) + del(b) - del(a + b) for a, b >= 8 (TOMS 708 bcorr)."""
+    a, b = min(a, b), max(a, b)
+    t = (1.0 / a) ** 2
+    return (((((_C5 * t + _C4) * t + _C3) * t + _C2) * t + _C1) * t + _C0) / a + _stirling_series(a, b)
+
+
+def _algdiv(a: float, b: float) -> float:
+    """ln(Gamma(b) / Gamma(a + b)) for b >= 8 (TOMS 708 algdiv)."""
+    d = a + (b - 0.5) if a > b else b + (a - 0.5)
+    u = d * math.log1p(a / b)
+    v = a * (math.log(b) - 1.0)
+    return _stirling_series(a, b) - (u + v)
+
+
 def _ln_beta(a: float, b: float) -> float:
-    return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    """ln B(a, b) for min(a, b) < 8; larger shapes go through _bcorr."""
+    lo, hi = min(a, b), max(a, b)
+    if hi < 8.0:
+        return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    return math.lgamma(lo) + _algdiv(lo, hi)
 
 
-def _beta_cont_frac(a: float, b: float, x: float) -> float:
-    """Continued fraction for the regularized incomplete beta (Lentz)."""
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _CF_FPMIN:
-        d = _CF_FPMIN
-    d = 1.0 / d
-    h = d
-    for it in range(1, _CF_MAX_ITER + 1):
-        m2 = 2 * it
-        aa = it * (b - it) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _CF_FPMIN:
-            d = _CF_FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _CF_FPMIN:
-            c = _CF_FPMIN
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + it) * (qab + it) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _CF_FPMIN:
-            d = _CF_FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _CF_FPMIN:
-            c = _CF_FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _CF_EPS:
-            return h
+def _two_product(s: float, t: float) -> tuple[float, float]:
+    """(hi, lo) with hi + lo = s * t exactly (Dekker's product)."""
+    hi = s * t
+    s1 = _SPLIT * s
+    s_hi = s1 - (s1 - s)
+    s_lo = s - s_hi
+    t1 = _SPLIT * t
+    t_hi = t1 - (t1 - t)
+    t_lo = t - t_hi
+    return hi, ((s_hi * t_hi - hi) + s_hi * t_lo + s_lo * t_hi) + s_lo * t_lo
+
+
+def _lambda(a: float, b: float, x: float) -> float:
+    """lambda = a - (a + b) x, the signed distance of x below the mean.
+
+    The sum and the product are taken exactly, so the only error left is
+    the rounding of the result.  A rounded (a + b) x would move I_x by
+    about lambda (1/a + 1/b) ulp(a + b) relative: 3e-12 at 30 sd for
+    Beta(5e5, 5e5).
+    """
+    s = a + b
+    # rounding error of the sum (Knuth's two-sum); zero for integer shapes
+    bv = s - a
+    s_err = (a - (s - bv)) + (b - bv)
+    hi, lo = _two_product(s, x)
+    return a - hi - (lo + s_err * x)
+
+
+def _ln_prefactor(a: float, b: float, x: float, y: float, lam: float) -> float:
+    """ln of x^a y^b / B(a, b) (TOMS 708 brcomp).
+
+    For a, b >= 8 the large parts of a ln x, b ln y and ln B(a, b) are
+    cancelled analytically: the value is
+    ln sqrt(b x0 / 2 pi) - a rlog1(-lam / a) - b rlog1(lam / b) - bcorr(a, b)
+    with x0 = a / (a + b), so no term larger than the result is formed.
+    """
+    if min(a, b) < 8.0:
+        return a * math.log(x) + b * math.log1p(-x) - _ln_beta(a, b)
+    if a > b:
+        h = b / a
+        x0 = 1.0 / (h + 1.0)
+        y0 = h / (h + 1.0)
+    else:
+        h = a / b
+        x0 = h / (h + 1.0)
+        y0 = 1.0 / (h + 1.0)
+    e = -lam / a
+    # far from the mean x / x0 and y / y0 carry more precision than 1 + e
+    u = _rlog1(e) if abs(e) <= 0.6 else e - math.log(x / x0)
+    e = lam / b
+    v = _rlog1(e) if abs(e) <= 0.6 else e - math.log(y / y0)
+    return 0.5 * math.log(b * x0 / (2.0 * math.pi)) - (a * u + b * v) - _bcorr(a, b)
+
+
+class _TemmeSeries:
+    """Coefficients d_i of Temme's series for Beta(a, b), built on demand.
+
+    TOMS 708 basym gets them from the power series A(t) = 1 + sum a0_j t^j,
+    where (1 + h) t^2 A(t) / 2 = -ln(1 - t) - ln(1 + h t) / h and h is the
+    shape ratio min / max (t -> -t when a > b): c_i = [t^i] A^(-(i+1)/2)
+    / (i + 1) by J. C. P. Miller's power recurrence, O(i^2) per i, and
+    1 + sum d_i w^i = 1 / (1 + sum c_i w^i).  By Lagrange inversion c_i
+    is the coefficient of w^(i+1) in the inverse T(w) of t sqrt(A(t)),
+    which solves T T' = w (1 - r1 T - h T^2); that gives each c_i, and
+    then d_i, in O(i).  One instance serves every point of one beta_cdf
+    array or quantile search, and add_term() runs only when a point
+    needs a term no earlier point did.
+    """
+
+    def __init__(self, a: float, b: float):
+        if a < b:
+            self.h = a / b
+            self.r1 = (b - a) / b
+            self.w0 = 1.0 / math.sqrt(a * (self.h + 1.0))
+        else:
+            self.h = b / a
+            self.r1 = (b - a) / a
+            self.w0 = 1.0 / math.sqrt(b * (self.h + 1.0))
+        # t[k-1] = [w^k] T(w); d[i-1] = d_i
+        self.t = [1.0]
+        self.d: list[float] = []
+        self.add_term()
+
+    def add_term(self) -> None:
+        t, d = self.t, self.d
+        n = len(t)
+        # [w^(n+1)] of T T' = w (1 - r1 T - h T^2), solved for t_{n+1}
+        tt = sum(map(mul, t, t[-2::-1]))
+        inner = sum(map(mul, t[1:], t[:0:-1]))
+        t.append((-self.r1 * t[-1] - self.h * tt) / (n + 2.0) - 0.5 * inner)
+        # [w^n] of (w / T) (T / w) = 1
+        d.append(-(t[n] + sum(map(mul, d, t[n - 1 : 0 : -1]))))
+
+
+def _basym(a: float, b: float, lam: float, series: _TemmeSeries) -> float:
+    """I_x(a, b) for large a, b and lam = a - (a + b) x >= 0 (TOMS 708 basym).
+
+    Temme's uniform expansion: exp(-f) times an erfc leading term and a
+    series in powers of 1/sqrt(min(a, b)) with coefficients from
+    ``series`` (built for these a, b), where
+    f = a rlog1(-lam / a) + b rlog1(lam / b).  Each pass adds two terms
+    and the loop stops once they fall below _BASYM_EPS of the sum.
+    """
+    f = a * _rlog1(-lam / a) + b * _rlog1(lam / b)
+    t = math.exp(-f)
+    z0 = math.sqrt(f)
+    z2 = f + f
+    w0 = series.w0
+    d = series.d
+    # j0 = exp(z0^2) erfc(z0) / (2 e0) and the other terms carry the
+    # factor t = exp(-f); with z0^2 - f formed exactly, t j0 keeps full
+    # precision even where erfc(z0) is far below exp(-f) alone
+    hi, lo = _two_product(z0, z0)
+    j0 = 0.5 / _E0 * math.erfc(z0) * math.exp((hi - f) + lo)
+    j1 = _E1 * t
+    total = j0 + d[0] * w0 * j1
+    w = w0
+    znm1 = z0 * math.sqrt(2.0) * t
+    zn = z2 * t
+    for n in range(2, _BASYM_MAX_TERMS + 1, 2):
+        while len(d) <= n:
+            series.add_term()
+        j0 = _E1 * znm1 + (n - 1.0) * j0
+        j1 = _E1 * zn + n * j1
+        znm1 *= z2
+        zn *= z2
+        w *= w0
+        t0 = d[n - 1] * w * j0
+        w *= w0
+        t1 = d[n] * w * j1
+        total += t0 + t1
+        if abs(t0) + abs(t1) <= _BASYM_EPS * total:
+            break
+    return _E0 * math.exp(-_bcorr(a, b)) * total
+
+
+def _bfrac(a: float, b: float, x: float, y: float, lam: float) -> float:
+    """Continued fraction for I_x(a, b) / (x^a y^b / B(a, b)) (TOMS 708 bfrac).
+
+    The even part of the classical fraction, with its partial
+    denominators written through the exactly formed lam = a - (a + b) x,
+    so none of them cancels; the classical form loses digits when
+    a >> b and x is near 1.  Converges fast for x < (a + 1) / (a + b + 2),
+    where lam > -1.
+    """
+    c = lam + 1.0
+    c0 = b / a
+    c1 = 1.0 + 1.0 / a
+    yp1 = y + 1.0
+    p = 1.0
+    s = a + 1.0
+    an, bn = 0.0, 1.0
+    anp1, bnp1 = 1.0, c / c1
+    r = c1 / c
+    for n in range(1, _CF_MAX_ITER + 1):
+        t = n / a
+        w = n * (b - n) * x
+        e = a / s
+        alpha = p * (p + c0) * e * e * (w * x)
+        e = (t + 1.0) / (c1 + t + t)
+        beta = n + w / s + e * (c + n * yp1)
+        p = t + 1.0
+        s += 2.0
+        an, anp1 = anp1, alpha * an + beta * anp1
+        bn, bnp1 = bnp1, alpha * bn + beta * bnp1
+        r0 = r
+        r = anp1 / bnp1
+        if abs(r - r0) <= _CF_EPS * r:
+            return r
+        # rescale so the recurrences stay in range
+        an /= bnp1
+        bn /= bnp1
+        anp1 = r
+        bnp1 = 1.0
     raise NoConvergence(
         f"incomplete beta continued fraction did not converge for a={a}, b={b}, x={x}"
     )
@@ -171,40 +417,68 @@ def _pdf_scalar(law: BetaLaw, x: float) -> float:
         if b > 1.0:
             return 0.0
         return a if b == 1.0 else math.inf
-    return math.exp((a - 1.0) * math.log(x) + (b - 1.0) * math.log1p(-x) - _ln_beta(a, b))
+    y = 1.0 - x
+    ln_p = _ln_prefactor(a, b, x, y, _lambda(a, b, x))
+    return math.exp(ln_p - math.log(x) - math.log1p(-x))
 
 
-def _cdf_scalar(law: BetaLaw, x: float) -> float:
+def _tails(law: BetaLaw, x: float, temme: dict) -> tuple[float, float]:
+    """Both tails (I_x(a, b), 1 - I_x(a, b)), the smaller computed directly.
+
+    With lambda = a - (a + b) x, shapes above _BASYM_MIN_SHAPE with
+    |lambda| <= _BASYM_LAMBDA_FRAC * min(a, b) use Temme's expansion for
+    the tail below the mean, on the mirrored law Beta(b, a) at 1 - x
+    when lambda < 0; ``temme`` keeps the series coefficients of both
+    orientations for the next point of the same call.  Everywhere else
+    the prefactor x^a (1 - x)^b / B(a, b) times the continued fraction
+    gives the tail on the side of (a + 1) / (a + b + 2) where the
+    fraction converges fast: the smaller one, or at most ~0.9 for
+    shapes below 1.
+    """
     a, b = law.a, law.b
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"cdf argument must lie in [0, 1], got {x}")
     if x == 0.0:
-        return 0.0
+        return 0.0, 1.0
     if x == 1.0:
-        return 1.0
-    ln_bt = a * math.log(x) + b * math.log1p(-x) - _ln_beta(a, b)
-    bt = math.exp(ln_bt)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return bt * _beta_cont_frac(a, b, x) / a
-    return 1.0 - bt * _beta_cont_frac(b, a, 1.0 - x) / b
+        return 1.0, 0.0
+    y = 1.0 - x
+    lam = _lambda(a, b, x)
+    if a > _BASYM_MIN_SHAPE and b > _BASYM_MIN_SHAPE and abs(lam) <= _BASYM_LAMBDA_FRAC * min(a, b):
+        mirrored = lam < 0.0
+        series = temme.get(mirrored)
+        if series is None:
+            series = temme[mirrored] = _TemmeSeries(b, a) if mirrored else _TemmeSeries(a, b)
+        if mirrored:
+            w = _basym(b, a, -lam, series)
+            return 1.0 - w, w
+        w = _basym(a, b, lam, series)
+        return w, 1.0 - w
+    bt = math.exp(_ln_prefactor(a, b, x, y, lam))
+    lower = x < (a + 1.0) / (a + b + 2.0)
+    if bt == 0.0:
+        w = 0.0
+    elif lower:
+        w = bt * _bfrac(a, b, x, y, lam)
+    else:
+        w = bt * _bfrac(b, a, y, x, -lam)
+    return (w, 1.0 - w) if lower else (1.0 - w, w)
 
 
-def _quantile_scalar(law: BetaLaw, q: float) -> float:
+def _quantile_scalar(law: BetaLaw, q: float, temme: dict) -> float:
     if not 0.0 < q < 1.0:
         raise DomainError(f"quantile argument must lie in (0, 1), got {q}")
     # Iterate on the tail holding q: the cdf below the median, the upper
-    # tail 1 - F(x) = I_{1-x}(b, a) of the mirrored law above it, so both
-    # the tail mass and the target 1 - q (exact for q > 1/2) keep their
-    # relative precision.
+    # tail 1 - F(x) above it, so both the tail mass and the target 1 - q
+    # (exact for q > 1/2) keep their relative precision.
     upper = q > 0.5
-    mirror = BetaLaw(law.b, law.a) if upper else law
     target = math.log1p(-q) if upper else math.log(q)
     x = law.mean + NormalDist().inv_cdf(q) * math.sqrt(law.variance)
     if not 0.0 < x < 1.0:
         x = law.mean
     lo, hi = 0.0, 1.0
     for _ in range(_QUANTILE_MAX_ITER):
-        tail = _cdf_scalar(mirror, 1.0 - x) if upper else _cdf_scalar(law, x)
+        tail = _tails(law, x, temme)[upper]
         # an underflowed tail puts x further out than the quantile
         excess = math.log(tail) - target if tail > 0.0 else -math.inf
         if excess == 0.0:
@@ -232,27 +506,40 @@ def _quantile_scalar(law: BetaLaw, q: float) -> float:
     raise NoConvergence(f"beta quantile iteration stalled for a={law.a}, b={law.b}, q={q}")
 
 
-def _elementwise(fn, law, x):
+def _elementwise(fn, x):
     if np.ndim(x) == 0:
-        return fn(law, float(x))
+        return fn(float(x))
     arr = np.asarray(x, dtype=np.float64)
-    out = np.array([fn(law, float(v)) for v in arr.ravel()])
+    out = np.array([fn(float(v)) for v in arr.ravel()])
     return out.reshape(arr.shape)
 
 
 def beta_pdf(law: BetaLaw, x):
     """Density of ``law`` at ``x`` (scalar or array)."""
-    return _elementwise(_pdf_scalar, law, x)
+    return _elementwise(lambda v: _pdf_scalar(law, v), x)
 
 
 def beta_cdf(law: BetaLaw, x):
     """Regularized incomplete beta I_x(a, b) at ``x`` (scalar or array)."""
-    return _elementwise(_cdf_scalar, law, x)
+    temme: dict = {}
+    return _elementwise(lambda v: _tails(law, v, temme)[0], x)
+
+
+def beta_sf(law: BetaLaw, x):
+    """Upper tail 1 - I_x(a, b) at ``x`` (scalar or array).
+
+    Computed directly where it is the smaller tail, so it keeps its
+    relative precision far below the one ulp of 1 that one minus the
+    cdf would resolve.
+    """
+    temme: dict = {}
+    return _elementwise(lambda v: _tails(law, v, temme)[1], x)
 
 
 def beta_quantile(law: BetaLaw, q):
     """Inverse cdf at probability ``q`` (scalar or array)."""
-    return _elementwise(_quantile_scalar, law, q)
+    temme: dict = {}
+    return _elementwise(lambda v: _quantile_scalar(law, v, temme), q)
 
 
 def _log_power_terms(values: np.ndarray, exponent: int) -> float:

@@ -89,29 +89,6 @@ def crb(info: FimResult, i: int) -> float:
     return info.sigma2 / res_sq
 
 
-def crb_angle_form(G, sigma2: float, i: int) -> float:
-    """Bound written as sigma2 / (||g_i||^2 sin^2 psi_i).
-
-    ``psi_i`` is the principal angle between Jacobian column i and the
-    span of the remaining columns.  Numerically identical to
-    :func:`crb`; kept as an independent reading of the same quantity.
-    """
-    info = fim(G, sigma2)
-    if not 0 <= i < info.p:
-        raise BadShape(f"parameter index {i} out of range for p={info.p}")
-    g = info.G[:, i]
-    others = np.delete(info.G, i, axis=1)
-    norm_sq = float(np.real(np.vdot(g, g)))
-    if norm_sq == 0.0:
-        raise SingularFim(f"parameter {i} has a zero Jacobian column")
-    sin_sq = _residual_norm_sq(g, others) / norm_sq
-    if sin_sq <= SINGULAR_REL_TOL:
-        raise SingularFim(
-            f"parameter {i} is unidentifiable: sin^2 of principal angle = {sin_sq:.3e}"
-        )
-    return sigma2 / (norm_sq * sin_sq)
-
-
 def compressed_fim(G, phi, sigma2: float = 1.0) -> FimResult:
     """Information after observing Phi x instead of x.
 

@@ -63,9 +63,11 @@ def confidence_at(n: int, m: int, p: int, kappa: float) -> float:
     """P[CRB after <= kappa * CRB before] under random compression.
 
     The before/after ratio follows Beta(m - p + 1, n - m), so the value
-    is one minus its cdf at 1/kappa.  By the binomial identity
-    I_x(a, b) = P[Binomial(a + b - 1, x) >= a] it equals
-    P[Binomial(n - p, 1/kappa) <= m - p].  Requires p < m <= n - p.
+    is its upper tail at 1/kappa, computed directly rather than as one
+    minus the cdf, so small confidences keep their relative precision.
+    By the binomial identity I_x(a, b) = P[Binomial(a + b - 1, x) >= a]
+    it equals P[Binomial(n - p, 1/kappa) <= m - p].  Requires
+    p < m <= n - p.
     """
     if not (isinstance(n, int) and isinstance(m, int) and isinstance(p, int)):
         raise DomainError("n, m, p must be ints")
@@ -78,7 +80,7 @@ def confidence_at(n: int, m: int, p: int, kappa: float) -> float:
     if kappa <= 1.0:
         return 0.0
     law = betalaw.crb_ratio_law(n, m, p)
-    return 1.0 - float(betalaw.beta_cdf(law, 1.0 / kappa))
+    return float(betalaw.beta_sf(law, 1.0 / kappa))
 
 
 def _walk(trials: int, x: float, k: int, c: float, confidence: float, lo: int, hi: int) -> int:

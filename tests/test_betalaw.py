@@ -10,12 +10,14 @@ import scipy.integrate
 import scipy.special
 import scipy.stats
 
+from crbcompress import betalaw
 from crbcompress.betalaw import (
     BetaLaw,
     MatrixBetaLaw,
     beta_cdf,
     beta_pdf,
     beta_quantile,
+    beta_sf,
     crb_ratio_law,
     eig_joint_logpdf,
     fim_after_logpdf,
@@ -169,6 +171,177 @@ def test_beta_quantile_tails_match_betaincinv():
         law = BetaLaw(float(a), float(b))
         ref = scipy.special.betaincinv(a, b, qs)
         np.testing.assert_allclose(beta_quantile(law, qs), ref, rtol=1e-10)
+
+
+# Shapes where a lgamma-difference prefactor, a 200-step fraction or a
+# fraction that cancels for skewed laws used to fail, and the two sides
+# of the switch to Temme's expansion (both shapes above 100).
+LARGE_SHAPES = [
+    (0.5, 1e6),
+    (5.0, 1e6),
+    (1e6, 5.0),
+    (1e6, 0.5),
+    (101.0, 1e6),
+    (150.0, 150.0),
+    (100.5, 100.5),
+    (2e4, 2e4),
+    (9999.0, 90000.0),
+    (5e5, 5e5),
+]
+SD_OFFSETS = (0, 1, -1, 3, -3, 6, -6, 12, -12, 30, -30)
+
+
+def _large_shape_grid():
+    """(a, b, k, x) with x = mean + k sd inside (0, 1)."""
+    for a, b in LARGE_SHAPES:
+        law = BetaLaw(a, b)
+        sd = math.sqrt(law.variance)
+        for k in SD_OFFSETS:
+            x = law.mean + k * sd
+            if 0.0 < x < 1.0:
+                yield a, b, k, x
+
+
+def _mp_lower_tail(a, b, x):
+    """I_x(a, b) by the classical continued fraction (Lentz) at 50 digits."""
+    lnb = mpmath.loggamma(a) + mpmath.loggamma(b) - mpmath.loggamma(a + b)
+    prefactor = mpmath.exp(a * mpmath.log(x) + b * mpmath.log1p(-x) - lnb) / a
+    c = mpmath.mpf(1)
+    d = 1 / (1 - (a + b) * x / (a + 1))
+    h = d
+    for m in range(1, 100_000):
+        for aa in (
+            m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
+            -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1)),
+        ):
+            d = 1 / (1 + aa * d)
+            c = 1 + aa / c
+            h *= d * c
+        if abs(d * c - 1) < mpmath.mpf(10) ** -40:
+            return prefactor * h
+    raise AssertionError("oracle fraction did not converge")
+
+
+def _mp_tails(a, b, x):
+    """Both tails at the double x, the smaller one from the fraction where it converges fast."""
+    with mpmath.workdps(50):
+        a, b, x = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(x)
+        if x <= (a + 1) / (a + b + 2):
+            lower = _mp_lower_tail(a, b, x)
+            return float(lower), float(1 - lower)
+        upper = _mp_lower_tail(b, a, 1 - x)
+        return float(1 - upper), float(upper)
+
+
+def test_mp_tail_oracle_matches_mpmath_betainc():
+    points = [(2.0, 3.0, 0.3), (63.0, 64.0, 0.05), (0.5, 0.5, 1e-9), (3.0, 0.5, 0.999), (200.0, 200.0, 0.6)]
+    for a, b, x in points:
+        with mpmath.workdps(50):
+            ref = mpmath.betainc(a, b, 0, x, regularized=True)
+            expected = (float(ref), float(1 - ref))
+        np.testing.assert_allclose(_mp_tails(a, b, x), expected, rtol=1e-14)
+
+
+def test_beta_tails_on_large_shapes_match_the_mp_oracle():
+    # no point raises: Beta(5e5, 5e5) at its mean used to exhaust the
+    # fraction, and the skewed shapes were off by up to 1e-9
+    for a, b, k, x in _large_shape_grid():
+        lower, upper = _mp_tails(a, b, x)
+        law = BetaLaw(a, b)
+        np.testing.assert_allclose(beta_cdf(law, x), lower, rtol=1e-12, err_msg=f"{a}, {b}, k={k}")
+        np.testing.assert_allclose(beta_sf(law, x), upper, rtol=1e-12, err_msg=f"{a}, {b}, k={k}")
+
+
+def test_beta_tails_on_large_shapes_match_scipy():
+    # scipy's own error decides the reference: its larger tail is one
+    # minus the smaller (betainc at Beta(5, 1e6), mean + sd, is 5.3e-12
+    # off), and at 30 sd it rounds (a + b) x, which moves Beta(5e5, 5e5)
+    # at mean - 30 sd by 2.2e-12; the 50-digit oracle covers those points
+    for a, b, k, x in _large_shape_grid():
+        if abs(k) > 12:
+            continue
+        law = BetaLaw(a, b)
+        lower, upper = scipy.special.betainc(a, b, x), scipy.special.betaincc(a, b, x)
+        if lower <= upper:
+            upper = 1.0 - lower
+        else:
+            lower = 1.0 - upper
+        np.testing.assert_allclose(beta_cdf(law, x), lower, rtol=1e-12, err_msg=f"{a}, {b}, k={k}")
+        np.testing.assert_allclose(beta_sf(law, x), upper, rtol=1e-12, err_msg=f"{a}, {b}, k={k}")
+
+
+def test_beta_pdf_on_large_shapes_matches_mpmath():
+    for a, b, k, x in _large_shape_grid():
+        with mpmath.workdps(50):
+            A, B, X = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(x)
+            lnb = mpmath.loggamma(A) + mpmath.loggamma(B) - mpmath.loggamma(A + B)
+            ref = float(mpmath.exp((A - 1) * mpmath.log(X) + (B - 1) * mpmath.log1p(-X) - lnb))
+        pdf = beta_pdf(BetaLaw(a, b), x)
+        np.testing.assert_allclose(pdf, ref, rtol=1e-12, err_msg=f"{a}, {b}, k={k}")
+
+
+def test_beta_sf_and_cdf_are_complementary():
+    xs = np.concatenate([[0.0, 1e-9], np.linspace(0.02, 0.98, 25), [1.0 - 1e-9, 1.0]])
+    for law in LAWS:
+        total = beta_cdf(law, xs) + beta_sf(law, xs)
+        np.testing.assert_allclose(total, 1.0, rtol=0.0, atol=2.0 * np.finfo(float).eps)
+
+
+def _switch_windows(a, b, width):
+    """Adjacent doubles around both |lambda| = 0.03 min(a, b) switch points."""
+    for sign in (1.0, -1.0):
+        x0 = (a - sign * 0.03 * min(a, b)) / (a + b)
+        yield x0 + np.arange(-width, width + 1) * np.spacing(x0)
+
+
+def test_temme_switch_agrees_with_the_fraction_at_adjacent_doubles():
+    # evaluate both methods at the doubles on both sides of the switch;
+    # the region rule itself is exercised by the tests above
+    for a, b in [(100.5, 100.5), (150.0, 150.0), (256.0, 768.0), (101.0, 1e6), (1e6, 101.0),
+                 (2e4, 2e4), (9999.0, 90000.0), (5e5, 5e5)]:
+        for xs in _switch_windows(a, b, 2):
+            for x in xs:
+                y = 1.0 - x
+                lam = betalaw._lambda(a, b, x)
+                prefactor = math.exp(betalaw._ln_prefactor(a, b, x, y, lam))
+                if lam >= 0.0:
+                    temme = betalaw._basym(a, b, lam, betalaw._TemmeSeries(a, b))
+                    fraction = prefactor * betalaw._bfrac(a, b, x, y, lam)
+                else:
+                    temme = betalaw._basym(b, a, -lam, betalaw._TemmeSeries(b, a))
+                    fraction = prefactor * betalaw._bfrac(b, a, y, x, -lam)
+                np.testing.assert_allclose(temme, fraction, rtol=1e-13, err_msg=f"{a}, {b}, x={x!r}")
+
+
+def test_tails_are_monotone_across_the_temme_switch(monkeypatch):
+    # shapes whose tails move by more than their rounding over one ulp
+    calls = []
+    basym = betalaw._basym
+    monkeypatch.setattr(betalaw, "_basym", lambda *args: calls.append(args) or basym(*args))
+    for a, b in [(2e4, 2e4), (9999.0, 90000.0), (5e5, 5e5), (1e6, 101.0)]:
+        law = BetaLaw(a, b)
+        for xs in _switch_windows(a, b, 4):
+            calls.clear()
+            lower = beta_cdf(law, xs)
+            # the window straddles the switch: some of its points use the expansion
+            assert 0 < len(calls) < xs.size
+            assert np.all(np.diff(lower) >= 0.0)
+            assert np.all(np.diff(beta_sf(law, xs)) <= 0.0)
+
+
+def test_beta_cdf_is_monotone_near_the_one_percent_point():
+    # Beta(9999, 90000) around its 0.01 quantile x = 0.0978: a lgamma
+    # prefactor made the cdf jitter by ~7e-12 between adjacent doubles
+    law = BetaLaw(9999.0, 90000.0)
+    x0 = scipy.special.betaincinv(9999.0, 90000.0, 0.01)
+    xs = x0 + np.arange(-50, 51) * np.spacing(x0)
+    assert np.all(np.diff(beta_cdf(law, xs)) > 0.0)
+
+
+def test_beta_quantile_at_the_median_of_a_million_sample_law():
+    law = BetaLaw(499999.0, 500000.0)
+    ref = scipy.special.betaincinv(499999.0, 500000.0, 0.5)
+    np.testing.assert_allclose(beta_quantile(law, 0.5), ref, rtol=1e-12)
 
 
 def test_matrix_beta_law_validation():

@@ -9,13 +9,27 @@ from crbcompress.fisher import (
     compressed_fim,
     compressed_kl,
     crb,
-    crb_angle_form,
     fim,
     kl_divergence,
     normalized_fim,
 )
 from crbcompress.randcomp import CompressorSpec, derive_stream, sample
 from crbcompress.sigmodel import Source, UlaModel, UlaScenario, two_source_half_rayleigh
+
+
+def crb_angle_form(G, sigma2, i):
+    """Bound written as sigma2 / (||g_i||^2 sin^2 psi_i), an oracle for crb.
+
+    ``psi_i`` is the principal angle between Jacobian column i and the
+    span of the remaining columns, read off a numpy QR of those columns.
+    """
+    g = G[:, i]
+    others = np.delete(G, i, axis=1)
+    q, _ = np.linalg.qr(others)
+    residual = g - q @ (q.conj().T @ g)
+    norm_sq = np.vdot(g, g).real
+    sin_sq = np.vdot(residual, residual).real / norm_sq
+    return sigma2 / (norm_sq * sin_sq)
 
 
 def _random_complex(rng, shape):

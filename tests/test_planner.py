@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from crbcompress.betalaw import beta_cdf, crb_ratio_law
+from crbcompress.betalaw import beta_cdf, beta_sf, crb_ratio_law
 from crbcompress import planner
 from crbcompress.errors import BadShape, DomainError, Infeasible, NoConvergence, NotPositiveDefinite
 from crbcompress.fisher import compressed_crb, crb, fim
@@ -19,23 +19,29 @@ from crbcompress.randcomp import CompressorSpec, derive_stream, sample
 from crbcompress.sigmodel import UlaModel, two_source_half_rayleigh
 
 
-def test_confidence_is_one_minus_the_tail_cdf():
+def test_confidence_is_the_upper_tail():
     law = crb_ratio_law(64, 24, 2)
-    expected = 1.0 - beta_cdf(law, 1.0 / 1.7)
+    expected = beta_sf(law, 1.0 / 1.7)
     np.testing.assert_allclose(confidence_at(64, 24, 2, 1.7), expected, rtol=1e-14)
+    # one minus the cdf agrees only to the ulp of 1 it is formed at
+    one_minus_cdf = 1.0 - beta_cdf(law, 1.0 / 1.7)
+    np.testing.assert_allclose(one_minus_cdf, expected, rtol=0.0, atol=np.finfo(float).eps)
 
 
 def test_confidence_matches_the_binomial_cdf():
-    # confidence_at(n, m, p, kappa) = P[Binomial(n - p, 1/kappa) <= m - p];
-    # the value is one minus a cdf, so below ~1e-4 it is resolved to one
-    # ulp of 1 rather than relatively
+    # confidence_at(n, m, p, kappa) = P[Binomial(n - p, 1/kappa) <= m - p],
+    # relatively, deep into the tail
     for n in (8, 13, 40, 97, 200):
         for p in (1, 2, 4):
             for kappa in (1.1, 1.5, 2.0, 3.0):
                 ms = range(p + 1, n - p + 1)
                 values = [confidence_at(n, m, p, kappa) for m in ms]
                 ref = scipy.stats.binom.cdf([m - p for m in ms], n - p, 1.0 / kappa)
-                np.testing.assert_allclose(values, ref, rtol=1e-12, atol=np.finfo(float).eps)
+                np.testing.assert_allclose(values, ref, rtol=1e-12)
+    # one minus the cdf read 0.0 here
+    tail = confidence_at(200, 45, 4, 2.0)
+    np.testing.assert_allclose(tail, scipy.stats.binom.cdf(41, 196, 0.5), rtol=1e-12)
+    assert 4e-17 < tail < 5e-17
 
 
 def test_confidence_edge_cases():
