@@ -39,6 +39,18 @@ the mean when that point lies outside (0, 1), and stops when a Newton
 step moves x by at most 1e-15 relative to x or the bracket collapses to
 adjacent doubles.
 
+beta_cdf, beta_sf and beta_pdf run a Python float (or a 0-d array) on
+the scalar kernel above and any other array on an array kernel: the
+same regions for all points at once in numpy, each region in one
+lockstep loop with per-point convergence masks (Temme's points on both
+sides of the mean share one, the fraction's points on both sides of
+(a + 1) / (a + b + 2) another).  A lockstep loop costs as many steps as
+its slowest point, plus a numpy call overhead per step, so a one-point
+array costs 7 to 30 times a call on the scalar kernel; that is why 0-d
+input stays scalar, and with it every planner and quantile call.  What depends only on the law (ln B(a, b) or bcorr, the
+x0/y0 term of the prefactor, Temme's series) is computed once per call
+and shared by every point of it; nothing is kept across calls.
+
 Convention for eigenvalue densities: symmetric in the arguments, so the
 value integrates to p! over the unit cube, or equivalently to 1 over
 the ordered sector.  Multiply by nothing for ordered points; divide by
@@ -167,6 +179,21 @@ def _rlog1(x: float) -> float:
     return 2.0 * t * (1.0 / (1.0 - r) - r * w) + w1
 
 
+def _rlog1_array(x: np.ndarray) -> np.ndarray:
+    """_rlog1 at every point of x > -1."""
+    left = x < -0.18
+    right = x > 0.18
+    h = np.where(left, (x + 0.3) / 0.7, np.where(right, 0.75 * x - 0.25, x))
+    w1 = np.where(left, 0.0566749439387324 - 0.3 * h, np.where(right, 0.0456512608815524 + h / 3.0, 0.0))
+    r = h / (h + 2.0)
+    t = r * r
+    w = ((0.00620886815375787 * t - 0.224696413112536) * t + 0.333333333333333) / (
+        (0.354508718369557 * t - 1.27408923933623) * t + 1.0
+    )
+    near = 2.0 * t * (1.0 / (1.0 - r) - r * w) + w1
+    return np.where((x < -0.39) | (x > 0.57), x - np.log1p(x), near)
+
+
 # Minimax coefficients of the Stirling remainder del(s) for s >= 8 (TOMS 708).
 _C0 = 0.0833333333333333
 _C1 = -0.00277777777760991
@@ -226,8 +253,8 @@ def _ln_beta(a: float, b: float) -> float:
     return math.lgamma(lo) + _algdiv(lo, hi)
 
 
-def _two_product(s: float, t: float) -> tuple[float, float]:
-    """(hi, lo) with hi + lo = s * t exactly (Dekker's product)."""
+def _two_product(s, t):
+    """(hi, lo) with hi + lo = s * t exactly (Dekker's product); floats or arrays."""
     hi = s * t
     s1 = _SPLIT * s
     s_hi = s1 - (s1 - s)
@@ -238,13 +265,13 @@ def _two_product(s: float, t: float) -> tuple[float, float]:
     return hi, ((s_hi * t_hi - hi) + s_hi * t_lo + s_lo * t_hi) + s_lo * t_lo
 
 
-def _lambda(a: float, b: float, x: float) -> float:
+def _lambda(a: float, b: float, x):
     """lambda = a - (a + b) x, the signed distance of x below the mean.
 
     The sum and the product are taken exactly, so the only error left is
     the rounding of the result.  A rounded (a + b) x would move I_x by
     about lambda (1/a + 1/b) ulp(a + b) relative: 3e-12 at 30 sd for
-    Beta(5e5, 5e5).
+    Beta(5e5, 5e5).  Plain arithmetic, so x may be a float or an array.
     """
     s = a + b
     # rounding error of the sum (Knuth's two-sum); zero for integer shapes
@@ -252,32 +279,6 @@ def _lambda(a: float, b: float, x: float) -> float:
     s_err = (a - (s - bv)) + (b - bv)
     hi, lo = _two_product(s, x)
     return a - hi - (lo + s_err * x)
-
-
-def _ln_prefactor(a: float, b: float, x: float, y: float, lam: float) -> float:
-    """ln of x^a y^b / B(a, b) (TOMS 708 brcomp).
-
-    For a, b >= 8 the large parts of a ln x, b ln y and ln B(a, b) are
-    cancelled analytically: the value is
-    ln sqrt(b x0 / 2 pi) - a rlog1(-lam / a) - b rlog1(lam / b) - bcorr(a, b)
-    with x0 = a / (a + b), so no term larger than the result is formed.
-    """
-    if min(a, b) < 8.0:
-        return a * math.log(x) + b * math.log1p(-x) - _ln_beta(a, b)
-    if a > b:
-        h = b / a
-        x0 = 1.0 / (h + 1.0)
-        y0 = h / (h + 1.0)
-    else:
-        h = a / b
-        x0 = h / (h + 1.0)
-        y0 = 1.0 / (h + 1.0)
-    e = -lam / a
-    # far from the mean x / x0 and y / y0 carry more precision than 1 + e
-    u = _rlog1(e) if abs(e) <= 0.6 else e - math.log(x / x0)
-    e = lam / b
-    v = _rlog1(e) if abs(e) <= 0.6 else e - math.log(y / y0)
-    return 0.5 * math.log(b * x0 / (2.0 * math.pi)) - (a * u + b * v) - _bcorr(a, b)
 
 
 class _TemmeSeries:
@@ -290,9 +291,9 @@ class _TemmeSeries:
     1 + sum d_i w^i = 1 / (1 + sum c_i w^i).  By Lagrange inversion c_i
     is the coefficient of w^(i+1) in the inverse T(w) of t sqrt(A(t)),
     which solves T T' = w (1 - r1 T - h T^2); that gives each c_i, and
-    then d_i, in O(i).  One instance serves every point of one beta_cdf
-    array or quantile search, and add_term() runs only when a point
-    needs a term no earlier point did.
+    then d_i, in O(i).  The _Shapes of a call holds one per orientation,
+    and add_term() runs only when a point needs a term no earlier point
+    did.
     """
 
     def __init__(self, a: float, b: float):
@@ -319,16 +320,107 @@ class _TemmeSeries:
         # [w^n] of (w / T) (T / w) = 1
         d.append(-(t[n] + sum(map(mul, d, t[n - 1 : 0 : -1]))))
 
+    def at(self, i: int) -> float:
+        """d[i], that is d_(i+1), adding terms as needed."""
+        while len(self.d) <= i:
+            self.add_term()
+        return self.d[i]
 
-def _basym(a: float, b: float, lam: float, series: _TemmeSeries) -> float:
-    """I_x(a, b) for large a, b and lam = a - (a + b) x >= 0 (TOMS 708 basym).
 
-    Temme's uniform expansion: exp(-f) times an erfc leading term and a
-    series in powers of 1/sqrt(min(a, b)) with coefficients from
-    ``series`` (built for these a, b), where
-    f = a rlog1(-lam / a) + b rlog1(lam / b).  Each pass adds two terms
-    and the loop stops once they fall below _BASYM_EPS of the sum.
+class _Shapes:
+    """What the kernels need of Beta(a, b) that does not depend on x.
+
+    One instance serves every point of one beta_cdf, beta_sf, beta_pdf or
+    beta_quantile call, on the scalar and the array kernel alike, and
+    goes with the call: nothing is kept across calls.  It holds ln B(a, b)
+    when min(a, b) < 8; otherwise the Stirling remainder bcorr(a, b), the
+    mean x0 = a / (a + b), its complement y0 and the term
+    ln sqrt(b x0 / 2 pi) of the prefactor; and Temme's series for each
+    orientation, built when a point first needs it.
     """
+
+    __slots__ = ("a", "b", "split", "lam_max", "ln_beta", "bcorr", "x0", "y0", "ln_root", "_series")
+
+    def __init__(self, law: BetaLaw):
+        a, b = law.a, law.b
+        self.a, self.b = a, b
+        # the fraction converges fast for the lower tail below this point
+        self.split = (a + 1.0) / (a + b + 2.0)
+        # |lambda| <= lam_max selects Temme's expansion; -1 selects nothing
+        big = a > _BASYM_MIN_SHAPE and b > _BASYM_MIN_SHAPE
+        self.lam_max = _BASYM_LAMBDA_FRAC * min(a, b) if big else -1.0
+        self._series: list[_TemmeSeries | None] = [None, None]
+        self.ln_beta = self.bcorr = self.x0 = self.y0 = self.ln_root = None
+        if min(a, b) < 8.0:
+            self.ln_beta = _ln_beta(a, b)
+            return
+        if a > b:
+            h = b / a
+            self.x0 = 1.0 / (h + 1.0)
+            self.y0 = h / (h + 1.0)
+        else:
+            h = a / b
+            self.x0 = h / (h + 1.0)
+            self.y0 = 1.0 / (h + 1.0)
+        self.ln_root = 0.5 * math.log(b * self.x0 / (2.0 * math.pi))
+        self.bcorr = _bcorr(a, b)
+
+    def series(self, mirrored: bool) -> _TemmeSeries:
+        """Temme's series for Beta(a, b), or for Beta(b, a) when ``mirrored``."""
+        side = int(mirrored)
+        series = self._series[side]
+        if series is None:
+            series = self._series[side] = (
+                _TemmeSeries(self.b, self.a) if mirrored else _TemmeSeries(self.a, self.b)
+            )
+        return series
+
+
+def _ln_prefactor(k: _Shapes, x: float, y: float, lam: float) -> float:
+    """ln of x^a y^b / B(a, b) (TOMS 708 brcomp).
+
+    For a, b >= 8 the large parts of a ln x, b ln y and ln B(a, b) are
+    cancelled analytically: the value is
+    ln sqrt(b x0 / 2 pi) - a rlog1(-lam / a) - b rlog1(lam / b) - bcorr(a, b)
+    with x0 = a / (a + b), so no term larger than the result is formed.
+    """
+    a, b = k.a, k.b
+    if k.ln_beta is not None:
+        return a * math.log(x) + b * math.log1p(-x) - k.ln_beta
+    e = -lam / a
+    # far from the mean x / x0 and y / y0 carry more precision than 1 + e
+    u = _rlog1(e) if abs(e) <= 0.6 else e - math.log(x / k.x0)
+    e = lam / b
+    v = _rlog1(e) if abs(e) <= 0.6 else e - math.log(y / k.y0)
+    return k.ln_root - (a * u + b * v) - k.bcorr
+
+
+def _ln_prefactor_array(k: _Shapes, x: np.ndarray, y: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """_ln_prefactor at every point of x in (0, 1)."""
+    a, b = k.a, k.b
+    if k.ln_beta is not None:
+        return a * np.log(x) + b * np.log1p(-x) - k.ln_beta
+    e = -lam / a
+    # clipped: e = -1, where x is too small to move lam, must not reach log1p
+    u = np.where(np.abs(e) <= 0.6, _rlog1_array(np.clip(e, -0.6, 0.6)), e - np.log(x / k.x0))
+    e = lam / b
+    v = np.where(np.abs(e) <= 0.6, _rlog1_array(np.clip(e, -0.6, 0.6)), e - np.log(y / k.y0))
+    return k.ln_root - (a * u + b * v) - k.bcorr
+
+
+def _basym(k: _Shapes, lam: float) -> float:
+    """The tail below the mean for large a, b (TOMS 708 basym).
+
+    I_x(a, b) when lam = a - (a + b) x >= 0, else the upper tail, which
+    is the lower tail of Beta(b, a) at 1 - x.  Temme's uniform expansion:
+    exp(-f) times an erfc leading term and a series in powers of
+    1/sqrt(min(a, b)) with coefficients from ``k.series``, where
+    f = a rlog1(-lam / a) + b rlog1(lam / b) is the same in both
+    orientations.  Each pass adds two terms and the loop stops once they
+    fall below _BASYM_EPS of the sum.
+    """
+    a, b = k.a, k.b
+    series = k.series(lam < 0.0)
     f = a * _rlog1(-lam / a) + b * _rlog1(lam / b)
     t = math.exp(-f)
     z0 = math.sqrt(f)
@@ -359,7 +451,53 @@ def _basym(a: float, b: float, lam: float, series: _TemmeSeries) -> float:
         total += t0 + t1
         if abs(t0) + abs(t1) <= _BASYM_EPS * total:
             break
-    return _E0 * math.exp(-_bcorr(a, b)) * total
+    return _E0 * math.exp(-k.bcorr) * total
+
+
+def _basym_array(k: _Shapes, lam: np.ndarray) -> np.ndarray:
+    """_basym at every point of lam: both orientations in one loop.
+
+    Only the coefficients d_i differ between the orientations, so each
+    point takes its own from the series of its side; a point's sum stops
+    growing once its terms fall below _BASYM_EPS of it.
+    """
+    a, b = k.a, k.b
+    mirrored = lam < 0.0
+    sides = [k.series(m) for m in (False, True) if (mirrored == m).any()]
+
+    def d(i):
+        if len(sides) == 1:
+            return sides[0].at(i)
+        return np.where(mirrored, sides[1].at(i), sides[0].at(i))
+
+    f = a * _rlog1_array(-lam / a) + b * _rlog1_array(lam / b)
+    t = np.exp(-f)
+    z0 = np.sqrt(f)
+    z2 = f + f
+    w0 = sides[0].w0
+    hi, lo = _two_product(z0, z0)
+    erfc = np.fromiter(map(math.erfc, z0.tolist()), np.float64, z0.size)
+    j0 = 0.5 / _E0 * erfc * np.exp((hi - f) + lo)
+    j1 = _E1 * t
+    total = j0 + d(0) * w0 * j1
+    w = w0
+    znm1 = z0 * math.sqrt(2.0) * t
+    zn = z2 * t
+    live = np.ones(lam.shape, dtype=bool)
+    for n in range(2, _BASYM_MAX_TERMS + 1, 2):
+        j0 = _E1 * znm1 + (n - 1.0) * j0
+        j1 = _E1 * zn + n * j1
+        znm1 = znm1 * z2
+        zn = zn * z2
+        w *= w0
+        t0 = d(n - 1) * w * j0
+        w *= w0
+        t1 = d(n) * w * j1
+        total = np.where(live, total + (t0 + t1), total)
+        live &= np.abs(t0) + np.abs(t1) > _BASYM_EPS * total
+        if not live.any():
+            break
+    return _E0 * math.exp(-k.bcorr) * total
 
 
 def _bfrac(a: float, b: float, x: float, y: float, lam: float) -> float:
@@ -405,57 +543,112 @@ def _bfrac(a: float, b: float, x: float, y: float, lam: float) -> float:
     )
 
 
-def _pdf_scalar(law: BetaLaw, x: float) -> float:
-    a, b = law.a, law.b
+def _bfrac_array(a: np.ndarray, b: np.ndarray, x: np.ndarray, y: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """_bfrac at every point, with the shapes a, b given per point.
+
+    The same recurrence in numpy lockstep; a point leaves the loop, and
+    the arrays shrink, at the step where it converges, so it gets the
+    value the scalar loop returns and costs nothing after.
+    """
+    c = lam + 1.0
+    c0 = b / a
+    c1 = 1.0 + 1.0 / a
+    yp1 = y + 1.0
+    p = np.ones(x.shape)
+    s = a + 1.0
+    an, bn = np.zeros(x.shape), np.ones(x.shape)
+    anp1, bnp1 = np.ones(x.shape), c / c1
+    r = c1 / c
+    out = np.empty(x.shape)
+    index = np.arange(x.size)
+    for n in range(1, _CF_MAX_ITER + 1):
+        t = n / a
+        w = n * (b - n) * x
+        e = a / s
+        alpha = p * (p + c0) * e * e * (w * x)
+        e = (t + 1.0) / (c1 + t + t)
+        beta = n + w / s + e * (c + n * yp1)
+        p = t + 1.0
+        s = s + 2.0
+        an, anp1 = anp1, alpha * an + beta * anp1
+        bn, bnp1 = bnp1, alpha * bn + beta * bnp1
+        r0 = r
+        r = anp1 / bnp1
+        done = np.abs(r - r0) <= _CF_EPS * r
+        # rescale so the recurrences stay in range
+        an = an / bnp1
+        bn = bn / bnp1
+        if np.count_nonzero(done):
+            out[index[done]] = r[done]
+            live = np.flatnonzero(~done)
+            if not live.size:
+                return out
+            index, a, b, x, c, c0, c1, yp1, p, s, an, bn, r = (
+                v[live] for v in (index, a, b, x, c, c0, c1, yp1, p, s, an, bn, r)
+            )
+        anp1 = r
+        bnp1 = 1.0
+    raise NoConvergence(
+        f"incomplete beta continued fraction did not converge for a={a[0]}, b={b[0]}, x={x[0]}"
+    )
+
+
+def _pdf_at_zero(a: float, b: float) -> float:
+    """Density of Beta(a, b) at x = 0; at x = 1 it is that of Beta(b, a)."""
+    if a > 1.0:
+        return 0.0
+    return b if a == 1.0 else math.inf
+
+
+def _pdf_scalar(k: _Shapes, x: float) -> float:
+    a, b = k.a, k.b
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"pdf argument must lie in [0, 1], got {x}")
     if x == 0.0:
-        if a > 1.0:
-            return 0.0
-        return b if a == 1.0 else math.inf
+        return _pdf_at_zero(a, b)
     if x == 1.0:
-        if b > 1.0:
-            return 0.0
-        return a if b == 1.0 else math.inf
+        return _pdf_at_zero(b, a)
     y = 1.0 - x
-    ln_p = _ln_prefactor(a, b, x, y, _lambda(a, b, x))
+    ln_p = _ln_prefactor(k, x, y, _lambda(a, b, x))
     return math.exp(ln_p - math.log(x) - math.log1p(-x))
 
 
-def _tails(law: BetaLaw, x: float, temme: dict) -> tuple[float, float]:
+def _pdf_array(k: _Shapes, x: np.ndarray) -> np.ndarray:
+    """_pdf_scalar at every point of the 1-d array x in [0, 1]."""
+    a, b = k.a, k.b
+    out = np.where(x == 0.0, _pdf_at_zero(a, b), _pdf_at_zero(b, a))
+    inner = np.flatnonzero((x > 0.0) & (x < 1.0))
+    xi = x[inner]
+    ln_p = _ln_prefactor_array(k, xi, 1.0 - xi, _lambda(a, b, xi))
+    out[inner] = np.exp(ln_p - np.log(xi) - np.log1p(-xi))
+    return out
+
+
+def _tails(k: _Shapes, x: float) -> tuple[float, float]:
     """Both tails (I_x(a, b), 1 - I_x(a, b)), the smaller computed directly.
 
     With lambda = a - (a + b) x, shapes above _BASYM_MIN_SHAPE with
     |lambda| <= _BASYM_LAMBDA_FRAC * min(a, b) use Temme's expansion for
     the tail below the mean, on the mirrored law Beta(b, a) at 1 - x
-    when lambda < 0; ``temme`` keeps the series coefficients of both
-    orientations for the next point of the same call.  Everywhere else
-    the prefactor x^a (1 - x)^b / B(a, b) times the continued fraction
-    gives the tail on the side of (a + 1) / (a + b + 2) where the
-    fraction converges fast: the smaller one, or at most ~0.9 for
-    shapes below 1.
+    when lambda < 0.  Everywhere else the prefactor
+    x^a (1 - x)^b / B(a, b) times the continued fraction gives the tail
+    on the side of (a + 1) / (a + b + 2) where the fraction converges
+    fast: the smaller one, or at most ~0.9 for shapes below 1.
     """
-    a, b = law.a, law.b
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"cdf argument must lie in [0, 1], got {x}")
     if x == 0.0:
         return 0.0, 1.0
     if x == 1.0:
         return 1.0, 0.0
+    a, b = k.a, k.b
     y = 1.0 - x
     lam = _lambda(a, b, x)
-    if a > _BASYM_MIN_SHAPE and b > _BASYM_MIN_SHAPE and abs(lam) <= _BASYM_LAMBDA_FRAC * min(a, b):
-        mirrored = lam < 0.0
-        series = temme.get(mirrored)
-        if series is None:
-            series = temme[mirrored] = _TemmeSeries(b, a) if mirrored else _TemmeSeries(a, b)
-        if mirrored:
-            w = _basym(b, a, -lam, series)
-            return 1.0 - w, w
-        w = _basym(a, b, lam, series)
-        return w, 1.0 - w
-    bt = math.exp(_ln_prefactor(a, b, x, y, lam))
-    lower = x < (a + 1.0) / (a + b + 2.0)
+    if abs(lam) <= k.lam_max:
+        w = _basym(k, lam)
+        return (w, 1.0 - w) if lam >= 0.0 else (1.0 - w, w)
+    bt = math.exp(_ln_prefactor(k, x, y, lam))
+    lower = x < k.split
     if bt == 0.0:
         w = 0.0
     elif lower:
@@ -465,7 +658,49 @@ def _tails(law: BetaLaw, x: float, temme: dict) -> tuple[float, float]:
     return (w, 1.0 - w) if lower else (1.0 - w, w)
 
 
-def _quantile_scalar(law: BetaLaw, q: float, temme: dict) -> float:
+def _tails_array(k: _Shapes, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_tails at every point of the 1-d array x in [0, 1], in numpy lockstep.
+
+    Each region runs one loop over all of its points: Temme's points on
+    both sides of the mean share one, and the fraction's points on both
+    sides of (a + 1) / (a + b + 2) share another, with the shapes
+    swapped per point.
+    """
+    a, b = k.a, k.b
+    lower = np.where(x == 1.0, 1.0, 0.0)
+    upper = 1.0 - lower
+    inner = np.flatnonzero((x > 0.0) & (x < 1.0))
+    xi = x[inner]
+    yi = 1.0 - xi
+    lam = _lambda(a, b, xi)
+    # w is the tail each point computes directly; below says it is the lower one
+    w = np.zeros(xi.shape)
+    below = lam >= 0.0
+    temme = np.abs(lam) <= k.lam_max
+    if temme.any():
+        w[temme] = _basym_array(k, lam[temme])
+    frac = np.flatnonzero(~temme)
+    if frac.size:
+        xf, yf, lf = xi[frac], yi[frac], lam[frac]
+        bt = np.exp(_ln_prefactor_array(k, xf, yf, lf))
+        side = xf < k.split
+        below[frac] = side
+        live = np.flatnonzero(bt > 0.0)
+        if live.size:
+            xf, yf, lf, side = xf[live], yf[live], lf[live], side[live]
+            w[frac[live]] = bt[live] * _bfrac_array(
+                np.where(side, a, b),
+                np.where(side, b, a),
+                np.where(side, xf, yf),
+                np.where(side, yf, xf),
+                np.where(side, lf, -lf),
+            )
+    lower[inner] = np.where(below, w, 1.0 - w)
+    upper[inner] = np.where(below, 1.0 - w, w)
+    return lower, upper
+
+
+def _quantile_scalar(law: BetaLaw, k: _Shapes, q: float) -> float:
     if not 0.0 < q < 1.0:
         raise DomainError(f"quantile argument must lie in (0, 1), got {q}")
     # Iterate on the tail holding q: the cdf below the median, the upper
@@ -478,7 +713,7 @@ def _quantile_scalar(law: BetaLaw, q: float, temme: dict) -> float:
         x = law.mean
     lo, hi = 0.0, 1.0
     for _ in range(_QUANTILE_MAX_ITER):
-        tail = _tails(law, x, temme)[upper]
+        tail = _tails(k, x)[upper]
         # an underflowed tail puts x further out than the quantile
         excess = math.log(tail) - target if tail > 0.0 else -math.inf
         if excess == 0.0:
@@ -492,7 +727,7 @@ def _quantile_scalar(law: BetaLaw, q: float, temme: dict) -> float:
         # bracket collapsed to adjacent doubles: no better x exists
         if hi - lo <= np.spacing(lo):
             return x
-        d = _pdf_scalar(law, x)
+        d = _pdf_scalar(k, x)
         if d > 0.0 and math.isfinite(d) and math.isfinite(excess):
             # Newton step on log(tail) - target; the tail's slope in x is
             # pdf for the cdf and -pdf for the upper tail
@@ -506,23 +741,42 @@ def _quantile_scalar(law: BetaLaw, q: float, temme: dict) -> float:
     raise NoConvergence(f"beta quantile iteration stalled for a={law.a}, b={law.b}, q={q}")
 
 
-def _elementwise(fn, x):
-    if np.ndim(x) == 0:
-        return fn(float(x))
+def _unit_points(x, what: str) -> np.ndarray:
+    """x as a float64 array, every point checked to lie in [0, 1]."""
     arr = np.asarray(x, dtype=np.float64)
-    out = np.array([fn(float(v)) for v in arr.ravel()])
-    return out.reshape(arr.shape)
+    bad = ~((arr >= 0.0) & (arr <= 1.0))
+    if bad.any():
+        raise DomainError(f"{what} argument must lie in [0, 1], got {arr[bad][0]}")
+    return arr
+
+
+def _is_scalar(x) -> bool:
+    # isinstance first: np.ndim converts a float to an array, which costs
+    # up to a tenth of a scalar incomplete beta
+    return isinstance(x, float) or np.ndim(x) == 0
+
+
+def _tail(law: BetaLaw, x, upper: bool):
+    """One tail of ``law`` at ``x``: the scalar kernel for 0-d input, else the array kernel."""
+    k = _Shapes(law)
+    if _is_scalar(x):
+        return _tails(k, float(x))[upper]
+    arr = _unit_points(x, "cdf")
+    return _tails_array(k, arr.ravel())[upper].reshape(arr.shape)
 
 
 def beta_pdf(law: BetaLaw, x):
     """Density of ``law`` at ``x`` (scalar or array)."""
-    return _elementwise(lambda v: _pdf_scalar(law, v), x)
+    k = _Shapes(law)
+    if _is_scalar(x):
+        return _pdf_scalar(k, float(x))
+    arr = _unit_points(x, "pdf")
+    return _pdf_array(k, arr.ravel()).reshape(arr.shape)
 
 
 def beta_cdf(law: BetaLaw, x):
     """Regularized incomplete beta I_x(a, b) at ``x`` (scalar or array)."""
-    temme: dict = {}
-    return _elementwise(lambda v: _tails(law, v, temme)[0], x)
+    return _tail(law, x, False)
 
 
 def beta_sf(law: BetaLaw, x):
@@ -532,14 +786,16 @@ def beta_sf(law: BetaLaw, x):
     relative precision far below the one ulp of 1 that one minus the
     cdf would resolve.
     """
-    temme: dict = {}
-    return _elementwise(lambda v: _tails(law, v, temme)[1], x)
+    return _tail(law, x, True)
 
 
 def beta_quantile(law: BetaLaw, q):
-    """Inverse cdf at probability ``q`` (scalar or array)."""
-    temme: dict = {}
-    return _elementwise(lambda v: _quantile_scalar(law, v, temme), q)
+    """Inverse cdf at probability ``q`` (scalar or array), point by point."""
+    k = _Shapes(law)
+    if _is_scalar(q):
+        return _quantile_scalar(law, k, float(q))
+    arr = np.asarray(q, dtype=np.float64)
+    return np.array([_quantile_scalar(law, k, float(v)) for v in arr.ravel()]).reshape(arr.shape)
 
 
 def _log_power_terms(values: np.ndarray, exponent: int) -> float:
@@ -648,7 +904,12 @@ def fim_after_logpdf(J_hat, J, law: MatrixBetaLaw) -> float:
 def crb_ratio_law(n: int, m: int, p: int) -> BetaLaw:
     """Law of (CRB before) / (CRB after) for any parameter index.
 
-    Beta(m - p + 1, n - m); valid for p < m < n with n - p >= m.
+    Beta(m - p + 1, n - m); valid for p < m < n with n - p >= m.  The
+    bounds are those of the complex-form information G^H G / sigma2 that
+    ``fisher.fim`` and ``fisher.crb`` compute.  The textbook
+    real-parameter information 2 Re(G^H G) / sigma2 (Kay, Vol. I) gives
+    the same ratio when p = 1; for p > 1 its ratio does not follow this
+    law.
     """
     _check_dims(n, m, p)
     if not p < m:

@@ -47,7 +47,14 @@ class FimResult:
 
 
 def fim(G, sigma2: float = 1.0) -> FimResult:
-    """Information matrix G^H G / sigma2 for noise covariance sigma2*I."""
+    """Information matrix G^H G / sigma2 for noise covariance sigma2*I.
+
+    This is the complex form of the information, and the beta laws of
+    ``betalaw`` describe it.  For real parameters and complex data the
+    textbook Fisher information is 2 Re(G^H G) / sigma2 (Kay,
+    Fundamentals of Statistical Signal Processing, Vol. I).  The two
+    forms give the same CRB ratio when p = 1; for p > 1 they differ.
+    """
     G = cxla.as_complex_matrix(G, "G")
     if G.shape[0] <= G.shape[1]:
         raise BadShape(f"G must be tall (n > p), got shape {G.shape}")
@@ -73,7 +80,11 @@ def crb(info: FimResult, i: int) -> float:
 
     Equals sigma2 divided by the squared residual of Jacobian column i
     against the span of the remaining columns; agrees with direct
-    inversion of J whenever J is well conditioned.
+    inversion of J whenever J is well conditioned.  The bound is that of
+    the complex-form information G^H G / sigma2 (see ``fim``), whose
+    before/after ratio follows ``betalaw.crb_ratio_law``; the textbook
+    real-parameter form 2 Re(G^H G) / sigma2 gives the same ratio when
+    p = 1.
     """
     if not 0 <= i < info.p:
         raise BadShape(f"parameter index {i} out of range for p={info.p}")

@@ -295,38 +295,46 @@ def _switch_windows(a, b, width):
 
 
 def test_temme_switch_agrees_with_the_fraction_at_adjacent_doubles():
-    # evaluate both methods at the doubles on both sides of the switch;
-    # the region rule itself is exercised by the tests above
+    # evaluate both methods at the doubles on both sides of the switch,
+    # through the scalar and the array kernel; the region rule itself is
+    # exercised by the tests above
     for a, b in [(100.5, 100.5), (150.0, 150.0), (256.0, 768.0), (101.0, 1e6), (1e6, 101.0),
                  (2e4, 2e4), (9999.0, 90000.0), (5e5, 5e5)]:
+        k = betalaw._Shapes(BetaLaw(a, b))
         for xs in _switch_windows(a, b, 2):
-            for x in xs:
-                y = 1.0 - x
-                lam = betalaw._lambda(a, b, x)
-                prefactor = math.exp(betalaw._ln_prefactor(a, b, x, y, lam))
+            ys = 1.0 - xs
+            lams = betalaw._lambda(a, b, xs)
+            for x, y, lam in zip(xs, ys, lams):
+                prefactor = math.exp(betalaw._ln_prefactor(k, x, y, lam))
                 if lam >= 0.0:
-                    temme = betalaw._basym(a, b, lam, betalaw._TemmeSeries(a, b))
                     fraction = prefactor * betalaw._bfrac(a, b, x, y, lam)
                 else:
-                    temme = betalaw._basym(b, a, -lam, betalaw._TemmeSeries(b, a))
                     fraction = prefactor * betalaw._bfrac(b, a, y, x, -lam)
+                temme = betalaw._basym(k, lam)
                 np.testing.assert_allclose(temme, fraction, rtol=1e-13, err_msg=f"{a}, {b}, x={x!r}")
+            below = lams >= 0.0
+            prefactor = np.exp(betalaw._ln_prefactor_array(k, xs, ys, lams))
+            fraction = prefactor * betalaw._bfrac_array(
+                np.where(below, a, b), np.where(below, b, a),
+                np.where(below, xs, ys), np.where(below, ys, xs), np.abs(lams),
+            )
+            temme = betalaw._basym_array(k, lams)
+            np.testing.assert_allclose(temme, fraction, rtol=1e-13, err_msg=f"{a}, {b}, array")
 
 
-def test_tails_are_monotone_across_the_temme_switch(monkeypatch):
+def test_tails_are_monotone_across_the_temme_switch():
     # shapes whose tails move by more than their rounding over one ulp
-    calls = []
-    basym = betalaw._basym
-    monkeypatch.setattr(betalaw, "_basym", lambda *args: calls.append(args) or basym(*args))
     for a, b in [(2e4, 2e4), (9999.0, 90000.0), (5e5, 5e5), (1e6, 101.0)]:
         law = BetaLaw(a, b)
         for xs in _switch_windows(a, b, 4):
-            calls.clear()
-            lower = beta_cdf(law, xs)
-            # the window straddles the switch: some of its points use the expansion
-            assert 0 < len(calls) < xs.size
-            assert np.all(np.diff(lower) >= 0.0)
-            assert np.all(np.diff(beta_sf(law, xs)) <= 0.0)
+            # the window straddles the switch: by the region rule, some of
+            # its points use the expansion and the others the fraction
+            expansion = np.abs(betalaw._lambda(a, b, xs)) <= 0.03 * min(a, b)
+            assert 0 < np.count_nonzero(expansion) < xs.size
+            scalar = [(beta_cdf(law, float(x)), beta_sf(law, float(x))) for x in xs]
+            for lower, upper in [(beta_cdf(law, xs), beta_sf(law, xs)), np.array(scalar).T]:
+                assert np.all(np.diff(lower) >= 0.0)
+                assert np.all(np.diff(upper) <= 0.0)
 
 
 def test_beta_cdf_is_monotone_near_the_one_percent_point():
@@ -342,6 +350,53 @@ def test_beta_quantile_at_the_median_of_a_million_sample_law():
     law = BetaLaw(499999.0, 500000.0)
     ref = scipy.special.betaincinv(499999.0, 500000.0, 0.5)
     np.testing.assert_allclose(beta_quantile(law, 0.5), ref, rtol=1e-12)
+
+
+def _agreement_cases():
+    """(law, xs): the LAWS on a grid from 0 to 1, the large-shape grid with x in {0, 1}."""
+    grid = np.concatenate([[0.0, 1e-9, 1e-4], np.linspace(0.02, 0.98, 25), [1.0 - 1e-9, 1.0]])
+    for law in LAWS:
+        yield law, grid
+    for a, b in LARGE_SHAPES:
+        xs = [x for aa, bb, _, x in _large_shape_grid() if (aa, bb) == (a, b)]
+        yield BetaLaw(a, b), np.array([0.0, *xs, 1.0])
+
+
+@pytest.mark.parametrize("fn", [beta_cdf, beta_sf, beta_pdf], ids=lambda fn: fn.__name__)
+def test_array_kernel_agrees_with_the_scalar_kernel(fn):
+    # 0-d inputs take the scalar kernel and arrays the numpy one; they
+    # share the formulas but not every rounding (numpy's log and exp)
+    for law, xs in _agreement_cases():
+        scalar = np.array([fn(law, float(x)) for x in xs])
+        assert np.count_nonzero(scalar > 0.0) > 0
+        # rtol only: exact wherever the scalar value is 0 (or infinite)
+        np.testing.assert_allclose(fn(law, xs), scalar, rtol=1e-13, atol=0.0, err_msg=f"{law}")
+
+
+@pytest.mark.parametrize("fn", [beta_cdf, beta_sf, beta_pdf], ids=lambda fn: fn.__name__)
+def test_array_inputs_keep_their_shape_and_edges(fn):
+    law = BetaLaw(63.0, 64.0)
+    empty = fn(law, np.array([]))
+    assert empty.shape == (0,) and empty.dtype == np.float64
+    # a 0-d array is a scalar call and gives a float
+    zero_d = fn(law, np.array(0.45))
+    assert isinstance(zero_d, float) and zero_d == fn(law, 0.45)
+    one = fn(law, np.array([0.45]))
+    assert one.shape == (1,)
+    np.testing.assert_allclose(one[0], zero_d, rtol=1e-13)
+    grid = np.linspace(0.0, 1.0, 12).reshape(3, 4)
+    out = fn(law, grid)
+    assert out.shape == (3, 4)
+    np.testing.assert_array_equal(out.ravel(), fn(law, grid.ravel()))
+    # integer points are the edges, computed as floats
+    edges = fn(law, np.array([0, 1]))
+    assert edges.dtype == np.float64
+    expected = {"beta_cdf": [0.0, 1.0], "beta_sf": [1.0, 0.0], "beta_pdf": [0.0, 0.0]}[fn.__name__]
+    np.testing.assert_array_equal(edges, expected)
+    np.testing.assert_array_equal(fn(law, [0.0, 1.0]), expected)
+    for bad in ([0.5, math.nan], [[0.2, 0.3], [1.5, 0.4]], [-1e-300], [0.5, math.inf]):
+        with pytest.raises(DomainError):
+            fn(law, np.array(bad))
 
 
 def test_matrix_beta_law_validation():

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -105,6 +106,16 @@ def test_version_and_help_exit_zero(capsys):
     assert capsys.readouterr().out.strip() == f"crb-compress {crbcompress.__version__}"
     assert cli.main(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_pyproject_takes_its_version_from_the_package():
+    # one version string: the package metadata reads crbcompress.__version__
+    tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+    with open(Path(__file__).parents[1] / "pyproject.toml", "rb") as fh:
+        config = tomllib.load(fh)
+    assert "version" not in config["project"]
+    assert "version" in config["project"]["dynamic"]
+    assert config["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "crbcompress.__version__"}
 
 
 def test_fisher_stdout_and_files(tmp_path, capsys):
