@@ -32,12 +32,17 @@ the remainder too (algdiv).  Each region computes its tail directly, so
 both tails keep their relative precision: beta_cdf is the lower one,
 beta_sf the upper.  For integer shapes I_x(a, b) is a binomial tail,
 P[Binomial(a + b - 1, x) >= a], which the planner uses to search
-measurement counts.  The quantile is a bracketed Newton iteration on
+measurement counts.  The quantile is a bracketed Halley iteration on
 the log of the tail holding q (the cdf below the median, the upper tail
-above it).  It starts at the normal approximation mean + z * sd, or at
-the mean when that point lies outside (0, 1), and stops when a Newton
-step moves x by at most 1e-15 relative to x or the bracket collapses to
-adjacent doubles.
+above it).  Each step evaluates that tail once: the density is
+exp(ln prefactor - ln x - ln(1 - x)) from the prefactor the tail already
+formed (in Temme's region the prefactor alone is computed), and the
+density's log slope (a - 1) / x - (b - 1) / (1 - x) gives Halley's
+correction, dropped for a plain Newton step when it would scale the
+step by less than 1/2 or more than 2.  It starts at the normal
+approximation mean + z * sd, or at the mean when that point lies
+outside (0, 1), and stops when a step moves x by at most 1e-15 relative
+to x or the bracket collapses to adjacent doubles.
 
 beta_cdf, beta_sf and beta_pdf run a Python float (or a 0-d array) on
 the scalar kernel above and any other array on an array kernel: the
@@ -624,7 +629,7 @@ def _pdf_array(k: _Shapes, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _tails(k: _Shapes, x: float) -> tuple[float, float]:
+def _tails(k: _Shapes, x: float) -> tuple[float, float, float | None]:
     """Both tails (I_x(a, b), 1 - I_x(a, b)), the smaller computed directly.
 
     With lambda = a - (a + b) x, shapes above _BASYM_MIN_SHAPE with
@@ -633,21 +638,25 @@ def _tails(k: _Shapes, x: float) -> tuple[float, float]:
     when lambda < 0.  Everywhere else the prefactor
     x^a (1 - x)^b / B(a, b) times the continued fraction gives the tail
     on the side of (a + 1) / (a + b + 2) where the fraction converges
-    fast: the smaller one, or at most ~0.9 for shapes below 1.
+    fast: the smaller one, or at most ~0.9 for shapes below 1.  The
+    third value is the log of that prefactor, which the quantile reuses
+    for the density; it is None where the prefactor was not formed (x at
+    0 or 1, and Temme's region).
     """
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"cdf argument must lie in [0, 1], got {x}")
     if x == 0.0:
-        return 0.0, 1.0
+        return 0.0, 1.0, None
     if x == 1.0:
-        return 1.0, 0.0
+        return 1.0, 0.0, None
     a, b = k.a, k.b
     y = 1.0 - x
     lam = _lambda(a, b, x)
     if abs(lam) <= k.lam_max:
         w = _basym(k, lam)
-        return (w, 1.0 - w) if lam >= 0.0 else (1.0 - w, w)
-    bt = math.exp(_ln_prefactor(k, x, y, lam))
+        return (w, 1.0 - w, None) if lam >= 0.0 else (1.0 - w, w, None)
+    ln_bt = _ln_prefactor(k, x, y, lam)
+    bt = math.exp(ln_bt)
     lower = x < k.split
     if bt == 0.0:
         w = 0.0
@@ -655,7 +664,7 @@ def _tails(k: _Shapes, x: float) -> tuple[float, float]:
         w = bt * _bfrac(a, b, x, y, lam)
     else:
         w = bt * _bfrac(b, a, y, x, -lam)
-    return (w, 1.0 - w) if lower else (1.0 - w, w)
+    return (w, 1.0 - w, ln_bt) if lower else (1.0 - w, w, ln_bt)
 
 
 def _tails_array(k: _Shapes, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -708,12 +717,14 @@ def _quantile_scalar(law: BetaLaw, k: _Shapes, q: float) -> float:
     # (exact for q > 1/2) keep their relative precision.
     upper = q > 0.5
     target = math.log1p(-q) if upper else math.log(q)
+    a, b = law.a, law.b
     x = law.mean + NormalDist().inv_cdf(q) * math.sqrt(law.variance)
     if not 0.0 < x < 1.0:
         x = law.mean
     lo, hi = 0.0, 1.0
     for _ in range(_QUANTILE_MAX_ITER):
-        tail = _tails(k, x)[upper]
+        tails = _tails(k, x)
+        tail = tails[upper]
         # an underflowed tail puts x further out than the quantile
         excess = math.log(tail) - target if tail > 0.0 else -math.inf
         if excess == 0.0:
@@ -725,13 +736,23 @@ def _quantile_scalar(law: BetaLaw, k: _Shapes, q: float) -> float:
         else:
             lo = x
         # bracket collapsed to adjacent doubles: no better x exists
-        if hi - lo <= np.spacing(lo):
+        if hi - lo <= math.ulp(lo):
             return x
-        d = _pdf_scalar(k, x)
+        # the density from the tail's own prefactor; Temme's region forms
+        # the prefactor alone
+        y = 1.0 - x
+        ln_bt = tails[2]
+        if ln_bt is None:
+            ln_bt = _ln_prefactor(k, x, y, _lambda(a, b, x))
+        d = math.exp(ln_bt - math.log(x) - math.log1p(-x))
         if d > 0.0 and math.isfinite(d) and math.isfinite(excess):
-            # Newton step on log(tail) - target; the tail's slope in x is
-            # pdf for the cdf and -pdf for the upper tail
+            # Newton step on g = log(tail) - target; the tail's slope in x
+            # is pdf for the cdf and -pdf for the upper tail
             step = (excess if upper else -excess) * tail / d
+            # Halley's correction: g''/g' = (ln pdf)' - g', and step * g' = -excess
+            halley = 1.0 + 0.5 * (step * ((a - 1.0) / x - (b - 1.0) / y) + excess)
+            if 0.5 < halley < 2.0:
+                step /= halley
             if abs(step) <= _QUANTILE_XTOL * x:
                 return x + step
             x += step

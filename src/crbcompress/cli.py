@@ -254,6 +254,7 @@ def _summary_payload(summary: mcharness.ExperimentSummary, config_dict: dict) ->
         "p": summary.p,
         "trials": summary.trials,
         "excluded_trials": summary.excluded_trials,
+        "excluded_by_cause": summary.excluded_by_cause,
         "statistics": stats,
     }
 

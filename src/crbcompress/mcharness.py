@@ -44,6 +44,9 @@ KS_CRITICAL = {0.01: 1.628, 0.05: 1.358}
 # degenerate; occasional exclusions are counted and reported.
 MAX_EXCLUDED_FRACTION = 1e-3
 
+# Why a trial is excluded; a trial's cause code is 1 + its index here.
+EXCLUSION_CAUSES = ("SingularFim", "RankDeficient")
+
 
 @dataclass(frozen=True)
 class KsResult:
@@ -119,6 +122,8 @@ class ExperimentSummary:
     trials: int
     excluded_trials: int
     trial_index: np.ndarray
+    # excluded trials per name in EXCLUSION_CAUSES
+    excluded_by_cause: dict = field(default_factory=dict)
     samples: dict = field(default_factory=dict)
     histograms: dict = field(default_factory=dict)
     stats: dict = field(default_factory=dict)
@@ -214,8 +219,9 @@ def run(config: ExperimentConfig) -> ExperimentSummary:
     """Execute a campaign and aggregate its statistics.
 
     Trials whose compressed information is singular for the requested
-    parameter are counted and excluded; the run fails with SingularFim
-    if they exceed MAX_EXCLUDED_FRACTION of the total.
+    parameter (SingularFim) or whose compressor is rank deficient
+    (RankDeficient) are excluded and counted by cause; the run fails
+    with SingularFim if they exceed MAX_EXCLUDED_FRACTION of the total.
     """
     t0 = time.perf_counter()
     stats_requested = tuple(config.statistics)
@@ -281,7 +287,9 @@ def run(config: ExperimentConfig) -> ExperimentSummary:
     eig_samples = np.full((trials, p), np.nan) if "w_eigenvalues" in stats_requested else None
     w_mats = np.full((trials, p, p), np.nan, dtype=np.complex128) if "w_mean" in stats_requested else None
     fim_mats = np.full((trials, p, p), np.nan, dtype=np.complex128) if "fim_mean" in stats_requested else None
-    excluded = np.zeros(trials, dtype=bool)
+    # 0 for a kept trial, else its cause code; each trial writes its own
+    # slot, so the codes do not depend on the thread count
+    cause = np.zeros(trials, dtype=np.int8)
 
     seed = config.seed if config.seed is not None else spec.seed
 
@@ -303,8 +311,10 @@ def run(config: ExperimentConfig) -> ExperimentSummary:
                     fim_mats[t] = after.J
             if kl_samples is not None:
                 kl_samples[t] = fisher.compressed_kl(x_ref, x_alt, noise_cov, phi) / kl_before
-        except (SingularFim, RankDeficient):
-            excluded[t] = True
+        except SingularFim:
+            cause[t] = 1
+        except RankDeficient:
+            cause[t] = 2
 
     if config.threads == 1:
         for t in range(trials):
@@ -313,13 +323,14 @@ def run(config: ExperimentConfig) -> ExperimentSummary:
         with ThreadPoolExecutor(max_workers=config.threads) as pool:
             list(pool.map(one_trial, range(trials)))
 
-    excluded_count = int(excluded.sum())
+    by_cause = {name: int(np.count_nonzero(cause == code)) for code, name in enumerate(EXCLUSION_CAUSES, 1)}
+    excluded_count = sum(by_cause.values())
     if excluded_count > MAX_EXCLUDED_FRACTION * trials:
         raise SingularFim(
-            f"{excluded_count} of {trials} trials were degenerate "
+            f"{excluded_count} of {trials} trials were degenerate {by_cause} "
             f"(limit is {MAX_EXCLUDED_FRACTION:.1%})"
         )
-    keep = ~excluded
+    keep = cause == 0
     kept_index = np.nonzero(keep)[0]
 
     samples: dict = {}
@@ -337,6 +348,7 @@ def run(config: ExperimentConfig) -> ExperimentSummary:
         trials=trials,
         excluded_trials=excluded_count,
         trial_index=kept_index,
+        excluded_by_cause=by_cause,
         samples=samples,
         config=config,
     )

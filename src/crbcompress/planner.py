@@ -24,6 +24,10 @@ DEFAULT_CONFIDENCES = (0.90, 0.99)
 # Rounds of exact confirmation min_measurements makes before giving up;
 # each failed confirmation re-anchors the binomial walk at an exact value.
 _MAX_CONFIRMATIONS = 4
+# confidence_at(m) minus the pmf term stands for confidence_at(m - 1) only
+# when it misses the target by more than this much relative to
+# confidence_at(m), which bounds the rounding error of the difference.
+_DIFFERENCE_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -118,13 +122,18 @@ def min_measurements(query: PlanQuery) -> int:
     """Smallest m with confidence_at(n, m, p, kappa) >= confidence.
 
     The confidence is P[Binomial(n - p, 1/kappa) <= m - p], nondecreasing
-    in m, so the search starts at the normal-approximation quantile of
-    that binomial, walks its pmf to the crossing, and confirms the
-    boundary with exact confidence_at values at m and m - 1 (at m alone
-    on the floor m = p + 2).  A confirmation that fails re-anchors the
-    walk at the exact value; after _MAX_CONFIRMATIONS of them the search
-    raises NoConvergence.  Raises Infeasible (carrying the best
-    achievable confidence) when even m = n - p falls short.
+    in m, so the search starts at the Cornish-Fisher quantile of that
+    binomial (the normal quantile plus its skewness term), walks its pmf
+    to the crossing, and confirms the boundary with one exact
+    confidence_at value at m.  The value at m - 1 is that one minus the
+    pmf term P[Binomial = m - p], which is a density, not a second tail;
+    only when the difference lies within its rounding error of the
+    target is confidence_at(m - 1) evaluated exactly.  On the floor
+    m = p + 2 nothing below is checked.  A confirmation that fails
+    re-anchors the walk at the exact value; after _MAX_CONFIRMATIONS of
+    them the search raises NoConvergence.  Raises Infeasible (carrying
+    the best achievable confidence, an exact value) when even m = n - p
+    falls short.
     """
     n, p, kappa, confidence = query.n, query.p, query.kappa, query.confidence
     lo = p + 2
@@ -141,22 +150,39 @@ def min_measurements(query: PlanQuery) -> int:
             exact[m] = confidence_at(n, m, p, kappa)
         return exact[m]
 
+    def below(m: int, c: float) -> float:
+        """confidence_at(m - 1), given c = confidence_at(m)."""
+        if m - 1 in exact:
+            return exact[m - 1]
+        # P[Binomial(trials, x) = m - p] from the density of the law at m
+        pmf = betalaw.beta_pdf(betalaw.crb_ratio_law(n, m, p), x) * (1.0 - x) / (n - m)
+        value = c - pmf
+        if abs(value - confidence) > _DIFFERENCE_RTOL * c:
+            return value
+        return exact_at(m - 1)
+
     x = 1.0 / kappa
     trials = n - p
     z = NormalDist().inv_cdf(confidence)
-    start = trials * x + z * math.sqrt(trials * x * (1.0 - x)) - 0.5
+    start = (
+        trials * x
+        + z * math.sqrt(trials * x * (1.0 - x))
+        + (z * z - 1.0) * (1.0 - 2.0 * x) / 6.0
+        - 0.5
+    )
     m = min(max(p + math.ceil(start), lo), hi)
     for _ in range(_MAX_CONFIRMATIONS):
         m = p + _walk(trials, x, m - p, exact_at(m), confidence, lo - p, hi - p)
-        if exact_at(m) < confidence:
+        c = exact_at(m)
+        if c < confidence:
             if m == hi:
                 raise Infeasible(
                     f"confidence {confidence} at kappa={kappa} is unreachable for n={n}, p={p}; "
-                    f"the best achievable is {exact[m]:.6f} at m={hi}",
-                    max_confidence=exact[m],
+                    f"the best achievable is {c:.6f} at m={hi}",
+                    max_confidence=c,
                 )
             continue
-        if m == lo or exact_at(m - 1) < confidence:
+        if m == lo or below(m, c) < confidence:
             return m
         m -= 1
     raise NoConvergence(

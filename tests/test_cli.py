@@ -156,6 +156,7 @@ def test_simulate_writes_everything(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["n"] == 16 and payload["m"] == 6 and payload["p"] == 2
     assert payload["trials"] == 150 and payload["excluded_trials"] == 0
+    assert payload["excluded_by_cause"] == {"SingularFim": 0, "RankDeficient": 0}
     stat = payload["statistics"]["crb_ratio"]
     assert set(stat) == {"mean", "variance", "ks"}
     assert stat["ks"]["pass"] in (True, False)

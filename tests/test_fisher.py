@@ -125,6 +125,45 @@ def test_crb_near_singular_threshold():
         crb(ok, 2)
 
 
+def _crb_ratios_in_both_forms(G, phi, i):
+    """Per-draw CRB ratio (before / after) under both information forms.
+
+    The complex form is G^H G / sigma2, the textbook real-parameter form
+    2 Re(G^H G) / sigma2; sigma2 cancels in the ratio.  After compression
+    the whitened Jacobian (Phi Phi^H)^(-1/2) Phi G has the Gram matrix of
+    Q^H G, with Q an orthonormal basis of the row space of Phi.
+    """
+    q, _ = np.linalg.qr(phi.conj().T)
+    g_hat = q.conj().T @ G
+
+    def ratio(form):
+        return np.linalg.inv(form(G))[i, i].real / np.linalg.inv(form(g_hat))[i, i].real
+
+    return ratio(lambda g: g.conj().T @ g), ratio(lambda g: 2.0 * np.real(g.conj().T @ g))
+
+
+def test_crb_ratio_real_and_complex_forms():
+    # the beta laws describe the complex form; the real form has the same
+    # ratio for one parameter only
+    n, m = 32, 16
+    spec = CompressorSpec(m=m, n=n, seed=29)
+    phis = [sample(spec, derive_stream(29, t)) for t in range(5)]
+    one = UlaModel(UlaScenario(n=n, sources=(Source(0.4),)))
+    g_one = one.jacobian(one.reference_theta)
+    for phi in phis:
+        complex_ratio, real_ratio = _crb_ratios_in_both_forms(g_one, phi, 0)
+        np.testing.assert_allclose(real_ratio, complex_ratio, rtol=1e-12)
+    two = UlaModel(two_source_half_rayleigh(n))
+    g_two = two.jacobian(two.reference_theta)
+    gaps = []
+    for phi in phis:
+        complex_ratio, real_ratio = _crb_ratios_in_both_forms(g_two, phi, 0)
+        library = crb(fim(g_two), 0) / compressed_crb(g_two, phi, 1.0, 0)
+        np.testing.assert_allclose(complex_ratio, library, rtol=1e-10)
+        gaps.append(abs(real_ratio - complex_ratio))
+    assert max(gaps) > 1e-6
+
+
 def test_compressed_fim_identity_map():
     rng = np.random.default_rng(36)
     g = _random_complex(rng, (9, 2))

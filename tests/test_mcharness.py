@@ -5,7 +5,7 @@ import pytest
 import scipy.stats
 
 from crbcompress.betalaw import BetaLaw, beta_cdf, beta_pdf, beta_quantile, crb_ratio_law
-from crbcompress.errors import BadShape, BadSpec, DomainError, SingularFim, TooFewSamples
+from crbcompress.errors import BadShape, BadSpec, DomainError, RankDeficient, SingularFim, TooFewSamples
 from crbcompress.mcharness import (
     ExperimentConfig,
     histogram,
@@ -13,7 +13,7 @@ from crbcompress.mcharness import (
     ks_two_sample,
     run,
 )
-from crbcompress.randcomp import CompressorSpec
+from crbcompress.randcomp import CompressorSpec, derive_stream, sample
 from crbcompress.sigmodel import UlaModel, two_source_half_rayleigh
 
 
@@ -194,20 +194,29 @@ def test_run_counts_and_excludes_degenerate_trials(monkeypatch):
     import crbcompress.mcharness as mc
 
     real = mc.fisher.compressed_fim
-    calls = {"t": -1}
+    config = _doa_config(16, 6, 2000, seed=3)
+    # one trial of each cause, recognized by its compressor so that the
+    # injection does not depend on the order threads run the trials in
+    injected = {
+        7: (sample(config.compressor, derive_stream(3, 7)), SingularFim),
+        1234: (sample(config.compressor, derive_stream(3, 1234)), RankDeficient),
+    }
 
     def flaky(G, phi, sigma2=1.0):
-        calls["t"] += 1
-        if calls["t"] in {7}:
-            raise SingularFim("injected degenerate trial")
+        for bad, error in injected.values():
+            if np.array_equal(phi, bad):
+                raise error("injected degenerate trial")
         return real(G, phi, sigma2)
 
     monkeypatch.setattr(mc.fisher, "compressed_fim", flaky)
-    summary = run(_doa_config(16, 6, 1000, seed=3))
-    assert summary.excluded_trials == 1
-    assert summary.samples["crb_ratio"].shape == (999,)
-    assert 7 not in summary.trial_index
-    assert summary.stats["crb_ratio"].ks is not None
+    for threads in (1, 2):
+        config.threads = threads
+        summary = run(config)
+        assert summary.excluded_trials == 2
+        assert summary.excluded_by_cause == {"SingularFim": 1, "RankDeficient": 1}
+        assert summary.samples["crb_ratio"].shape == (1998,)
+        assert not set(injected) & set(summary.trial_index.tolist())
+        assert summary.stats["crb_ratio"].ks is not None
 
 
 def test_run_fails_when_too_many_trials_are_degenerate(monkeypatch):

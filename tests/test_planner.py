@@ -1,10 +1,12 @@
 """Measurement planning and concentration ellipse loci."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.stats
 
-from crbcompress.betalaw import beta_cdf, beta_sf, crb_ratio_law
+from crbcompress.betalaw import beta_cdf, beta_pdf, beta_sf, crb_ratio_law
 from crbcompress import planner
 from crbcompress.errors import BadShape, DomainError, Infeasible, NoConvergence, NotPositiveDefinite
 from crbcompress.fisher import compressed_crb, crb, fim
@@ -60,6 +62,43 @@ def test_confidence_monotone_in_m():
     values = [confidence_at(40, m, 2, 2.0) for m in range(3, 39)]
     assert all(b >= a for a, b in zip(values, values[1:]))
     assert values[0] < 0.5 < values[-1]
+
+
+def _bulk_ms(n, p, kappa, offsets):
+    """Admissible m at the given sd offsets from the binomial's mean."""
+    trials, x = n - p, 1.0 / kappa
+    mean, sd = trials * x, math.sqrt(trials * x * (1.0 - x))
+    return sorted({min(max(p + round(mean + j * sd), p + 2), n - p) for j in offsets})
+
+
+@pytest.mark.parametrize("n", [128, 10**4, 10**6])
+def test_pmf_term_is_the_density_of_the_law(n):
+    # P[Binomial(n - p, x) = m - p] = pdf of Beta(m - p + 1, n - m) at x times (1 - x) / (n - m)
+    for p in (1, 2, 4):
+        for kappa in (1.1, 2.0, 3.0):
+            x = 1.0 / kappa
+            for m in _bulk_ms(n, p, kappa, (-8, -3, -1, 0, 1, 3, 8)):
+                pmf = beta_pdf(crb_ratio_law(n, m, p), x) * (1.0 - x) / (n - m)
+                ref = scipy.stats.binom.pmf(m - p, n - p, x)
+                np.testing.assert_allclose(pmf, ref, rtol=1e-12, err_msg=str((n, p, kappa, m)))
+                c = confidence_at(n, m, p, kappa)
+                # the difference keeps its precision where it loses at most a bit
+                if pmf <= 0.5 * c:
+                    np.testing.assert_allclose(
+                        c - pmf, confidence_at(n, m - 1, p, kappa), rtol=1e-12, err_msg=str((n, p, kappa, m))
+                    )
+
+
+@pytest.mark.parametrize("n", [1024, 10**5, 10**6])
+def test_min_measurements_at_an_exact_boundary(n):
+    # the target is confidence_at(m) itself, so confidence_at(m + 1) minus
+    # its pmf term lands within rounding of it and must not decide alone
+    for p in (1, 2):
+        for kappa in (1.5, 2.0, 4.0):
+            for m in _bulk_ms(n, p, kappa, (-3, -1, 0, 1, 3)):
+                confidence = confidence_at(n, m, p, kappa)
+                query = PlanQuery(n=n, p=p, kappa=kappa, confidence=confidence)
+                assert min_measurements(query) == m, (n, p, kappa, m)
 
 
 def test_min_measurements_reference_case():
