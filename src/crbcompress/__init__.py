@@ -29,7 +29,6 @@ from .cxla import (
     logdet_hpd,
     orthonormal_columns,
     orthonormal_range,
-    projector,
 )
 from .errors import (
     BadShape,

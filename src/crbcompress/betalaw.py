@@ -40,21 +40,33 @@ formed (in Temme's region the prefactor alone is computed), and the
 density's log slope (a - 1) / x - (b - 1) / (1 - x) gives Halley's
 correction, dropped for a plain Newton step when it would scale the
 step by less than 1/2 or more than 2.  It starts at the normal
-approximation mean + z * sd, or at the mean when that point lies
-outside (0, 1), and stops when a step moves x by at most 1e-15 relative
-to x or the bracket collapses to adjacent doubles.
+approximation mean + z * sd.  When that point lies outside (0, 1) it
+starts where the tail's leading term, x^a / (a B(a, b)) for the cdf or
+(1 - x)^b / (b B(a, b)) for the upper tail, equals the target, and at
+the mean if that point lies outside (0, 1) too.  It stops when a step
+moves x by at most 1e-15 relative to x or the bracket collapses to
+adjacent doubles.
 
 beta_cdf, beta_sf and beta_pdf run a Python float (or a 0-d array) on
 the scalar kernel above and any other array on an array kernel: the
-same regions for all points at once in numpy, each region in one
-lockstep loop with per-point convergence masks (Temme's points on both
-sides of the mean share one, the fraction's points on both sides of
-(a + 1) / (a + b + 2) another).  A lockstep loop costs as many steps as
-its slowest point, plus a numpy call overhead per step, so a one-point
-array costs 7 to 30 times a call on the scalar kernel; that is why 0-d
-input stays scalar, and with it every planner and quantile call.  What depends only on the law (ln B(a, b) or bcorr, the
-x0/y0 term of the prefactor, Temme's series) is computed once per call
-and shared by every point of it; nothing is kept across calls.
+same regions for all points at once in numpy.  Temme's points on both
+sides of the mean share one lockstep loop over the series terms, with
+per-point convergence masks.  The fraction's points on both sides of
+(a + 1) / (a + b + 2) share one loop that advances in blocks of steps:
+a block forms the coefficients of all its steps at all its points as
+(steps x points) arrays, loops over its steps only for the rescaled
+state update, and then finds each point's convergence step with the
+scalar loop's test, so each point gets the scalar kernel's value bit
+for bit.  The first block runs as many steps as the point nearest
+(a + 1) / (a + b + 2) needs, found by one scalar probe, and later blocks
+_CF_BLOCK_STEPS; a block holds at most _CF_BLOCK_CELLS steps x points,
+so a large array runs one step per block in memory linear in its
+points.  Each step still costs a few numpy calls, so a one-point array
+costs 5 to 30 times a call on the scalar kernel; that is why 0-d input
+stays scalar, and with it every planner and quantile call.  What
+depends only on the law (ln B(a, b) or bcorr, the x0/y0 term of the
+prefactor, Temme's series) is computed once per call and shared by
+every point of it; nothing is kept across calls.
 
 Convention for eigenvalue densities: symmetric in the arguments, so the
 value integrates to p! over the unit cube, or equivalently to 1 over
@@ -80,6 +92,10 @@ SUPPORT_TOL = 1e-10
 
 _CF_MAX_ITER = 200
 _CF_EPS = 1e-15
+# The array fraction's blocks: steps after the first block, and the most
+# steps x points one block may hold
+_CF_BLOCK_STEPS = 8
+_CF_BLOCK_CELLS = 1 << 14
 
 # Temme's expansion (TOMS 708 basym) replaces the fraction when both
 # shapes exceed _BASYM_MIN_SHAPE and |lambda| <= _BASYM_LAMBDA_FRAC * min(a, b).
@@ -505,14 +521,14 @@ def _basym_array(k: _Shapes, lam: np.ndarray) -> np.ndarray:
     return _E0 * math.exp(-k.bcorr) * total
 
 
-def _bfrac(a: float, b: float, x: float, y: float, lam: float) -> float:
+def _bfrac(a: float, b: float, x: float, y: float, lam: float) -> tuple[float, int]:
     """Continued fraction for I_x(a, b) / (x^a y^b / B(a, b)) (TOMS 708 bfrac).
 
     The even part of the classical fraction, with its partial
     denominators written through the exactly formed lam = a - (a + b) x,
     so none of them cancels; the classical form loses digits when
     a >> b and x is near 1.  Converges fast for x < (a + 1) / (a + b + 2),
-    where lam > -1.
+    where lam > -1.  Returns the value and the step it converged at.
     """
     c = lam + 1.0
     c0 = b / a
@@ -537,7 +553,7 @@ def _bfrac(a: float, b: float, x: float, y: float, lam: float) -> float:
         r0 = r
         r = anp1 / bnp1
         if abs(r - r0) <= _CF_EPS * r:
-            return r
+            return r, n
         # rescale so the recurrences stay in range
         an /= bnp1
         bn /= bnp1
@@ -551,48 +567,80 @@ def _bfrac(a: float, b: float, x: float, y: float, lam: float) -> float:
 def _bfrac_array(a: np.ndarray, b: np.ndarray, x: np.ndarray, y: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """_bfrac at every point, with the shapes a, b given per point.
 
-    The same recurrence in numpy lockstep; a point leaves the loop, and
-    the arrays shrink, at the step where it converges, so it gets the
-    value the scalar loop returns and costs nothing after.
+    The steps run in blocks.  A block forms the coefficients alpha_n and
+    beta_n of all its steps at all live points as (steps x points)
+    arrays, so that only the rescaled update of an, bn and r loops over
+    the steps.  After the block each point's convergence step is the
+    first of the block's convergents that passes the scalar loop's test,
+    and every sum and product is the scalar loop's, so every point gets
+    the value _bfrac returns; converged points leave before the next
+    block.  The first block runs as many steps as _bfrac takes at the
+    point with the smallest lam, the one nearest (a + 1) / (a + b + 2)
+    and so the slowest to converge; later blocks run _CF_BLOCK_STEPS.  No
+    block holds more than _CF_BLOCK_CELLS steps x points, so a large
+    array runs one step per block, in memory linear in its points.
     """
     c = lam + 1.0
     c0 = b / a
     c1 = 1.0 + 1.0 / a
     yp1 = y + 1.0
-    p = np.ones(x.shape)
-    s = a + 1.0
-    an, bn = np.zeros(x.shape), np.ones(x.shape)
-    anp1, bnp1 = np.ones(x.shape), c / c1
-    r = c1 / c
     out = np.empty(x.shape)
     index = np.arange(x.size)
-    for n in range(1, _CF_MAX_ITER + 1):
+    # the state before step 1: an, bn, the convergent r, and s less the 1
+    # that step 1 adds (later steps add 2); step 1 alone reads anp1 = 1
+    # and bnp1 = c / c1, the others anp1 = r and bnp1 = 1
+    an, bn, r, s = 0.0, 1.0, c1 / c, a
+    i = int(np.argmin(lam))
+    steps = _bfrac(float(a[i]), float(b[i]), float(x[i]), float(y[i]), float(lam[i]))[1]
+    start = 1
+    while True:
+        size = index.size
+        steps = max(1, min(steps, _CF_MAX_ITER + 1 - start, _CF_BLOCK_CELLS // size))
+        n = np.arange(start, start + steps, dtype=np.float64)[:, None]
+        sn = np.empty((steps, size))
+        for j in range(steps):
+            s = np.add(s, 1.0 if start + j == 1 else 2.0, out=sn[j])
         t = n / a
+        p = (n - 1.0) / a + 1.0
         w = n * (b - n) * x
-        e = a / s
+        e = a / sn
         alpha = p * (p + c0) * e * e * (w * x)
         e = (t + 1.0) / (c1 + t + t)
-        beta = n + w / s + e * (c + n * yp1)
-        p = t + 1.0
-        s = s + 2.0
-        an, anp1 = anp1, alpha * an + beta * anp1
-        bn, bnp1 = bnp1, alpha * bn + beta * bnp1
+        beta = n + w / sn + e * (c + n * yp1)
+        # rn[j] is the convergent of step start + j
+        rn = np.empty((steps, size))
         r0 = r
-        r = anp1 / bnp1
-        done = np.abs(r - r0) <= _CF_EPS * r
-        # rescale so the recurrences stay in range
-        an = an / bnp1
-        bn = bn / bnp1
-        if np.count_nonzero(done):
-            out[index[done]] = r[done]
-            live = np.flatnonzero(~done)
+        for j in range(steps):
+            al, be = alpha[j], beta[j]
+            if start + j == 1:
+                bnp1 = al * bn + be * (c / c1)
+                anp1 = al * an + be
+                an = 1.0 / bnp1
+                bn = (c / c1) / bnp1
+            else:
+                bnp1 = al * bn + be
+                anp1 = al * an + be * r
+                an = r / bnp1
+                bn = 1.0 / bnp1
+            r = np.divide(anp1, bnp1, out=rn[j])
+        start += steps
+        diff = np.empty((steps, size))
+        np.subtract(rn[0], r0, out=diff[0])
+        np.subtract(rn[1:], rn[:-1], out=diff[1:])
+        done = np.abs(diff) <= _CF_EPS * rn
+        hit = done.any(axis=0)
+        if hit.any():
+            cols = np.flatnonzero(hit)
+            out[index[cols]] = rn[done[:, cols].argmax(axis=0), cols]
+            live = np.flatnonzero(~hit)
             if not live.size:
                 return out
-            index, a, b, x, c, c0, c1, yp1, p, s, an, bn, r = (
-                v[live] for v in (index, a, b, x, c, c0, c1, yp1, p, s, an, bn, r)
+            index, a, b, x, c, c0, c1, yp1, s, an, bn, r = (
+                v[live] for v in (index, a, b, x, c, c0, c1, yp1, s, an, bn, r)
             )
-        anp1 = r
-        bnp1 = 1.0
+        if start > _CF_MAX_ITER:
+            break
+        steps = _CF_BLOCK_STEPS
     raise NoConvergence(
         f"incomplete beta continued fraction did not converge for a={a[0]}, b={b[0]}, x={x[0]}"
     )
@@ -661,9 +709,9 @@ def _tails(k: _Shapes, x: float) -> tuple[float, float, float | None]:
     if bt == 0.0:
         w = 0.0
     elif lower:
-        w = bt * _bfrac(a, b, x, y, lam)
+        w = bt * _bfrac(a, b, x, y, lam)[0]
     else:
-        w = bt * _bfrac(b, a, y, x, -lam)
+        w = bt * _bfrac(b, a, y, x, -lam)[0]
     return (w, 1.0 - w, ln_bt) if lower else (1.0 - w, w, ln_bt)
 
 
@@ -719,6 +767,14 @@ def _quantile_scalar(law: BetaLaw, k: _Shapes, q: float) -> float:
     target = math.log1p(-q) if upper else math.log(q)
     a, b = law.a, law.b
     x = law.mean + NormalDist().inv_cdf(q) * math.sqrt(law.variance)
+    if not 0.0 < x < 1.0:
+        # the tail's leading term, I_x ~ x^a / (a B(a, b)) near 0 and
+        # 1 - I_x ~ (1 - x)^b / (b B(a, b)) near 1: the mean is a start
+        # hundreds of halvings above a quantile like 1e-137
+        shape = b if upper else a
+        # capped at 0: a point past the support edge cannot overflow
+        ln_end = min(0.0, (target + math.log(shape) + _ln_beta(a, b)) / shape)
+        x = -math.expm1(ln_end) if upper else math.exp(ln_end)
     if not 0.0 < x < 1.0:
         x = law.mean
     lo, hi = 0.0, 1.0

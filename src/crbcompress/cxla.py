@@ -1,9 +1,9 @@
 """Dense complex linear algebra kernels.
 
-Orthonormal bases, orthogonal projectors, Hermitian roots, and stable
-log-determinants, all on plain ``numpy`` arrays in ``complex128``.
-Routines that produce Hermitian matrices re-symmetrize the result so
-downstream ``eigh`` calls never see accumulated asymmetry.
+Orthonormal bases, Hermitian roots, and stable log-determinants, all on
+plain ``numpy`` arrays in ``complex128``.  Routines that produce
+Hermitian matrices re-symmetrize the result so downstream ``eigh`` calls
+never see accumulated asymmetry.
 """
 
 from __future__ import annotations
@@ -82,17 +82,6 @@ def orthonormal_range(m, rank_tol: float = RANK_TOL) -> np.ndarray:
         return u[:, :0]
     rank = int(np.count_nonzero(s > rank_tol * s[0]))
     return u[:, :rank]
-
-
-def projector(m, rank_tol: float = RANK_TOL) -> np.ndarray:
-    """Orthogonal projector onto the column space of ``m``.
-
-    Rank-deficient input is allowed; the projector targets the actual
-    column space. The result is Hermitian and idempotent to rounding.
-    """
-    q = orthonormal_range(m, rank_tol)
-    p = q @ q.conj().T
-    return hermitian_part(p)
 
 
 def hermitian_inv_sqrt(a, pd_tol: float = PD_TOL) -> np.ndarray:

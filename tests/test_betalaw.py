@@ -26,7 +26,7 @@ from crbcompress.betalaw import (
     matrix_beta_logpdf,
     moments,
 )
-from crbcompress.errors import BadShape, DomainError, NotPositiveDefinite
+from crbcompress.errors import BadShape, DomainError, NoConvergence, NotPositiveDefinite
 
 LAWS = [
     BetaLaw(0.5, 0.5),
@@ -173,6 +173,15 @@ def test_beta_quantile_tails_match_betaincinv():
         np.testing.assert_allclose(beta_quantile(law, qs), ref, rtol=1e-10)
 
 
+def test_beta_quantile_far_below_the_mean_of_small_first_shapes():
+    # quantiles like 1e-137, out of reach of halving down from the mean
+    # in the iteration's 200 steps; the last case is the upper tail's
+    for a, b, q in [(0.0683, 86088.6, 1e-9), (0.2, 50.0, 1e-12), (0.05, 0.05, 1e-6),
+                    (0.5, 3.0, 1e-15), (2.0, 1.5, 1.0 - 1e-12)]:
+        ref = scipy.special.betaincinv(a, b, q)
+        np.testing.assert_allclose(beta_quantile(BetaLaw(a, b), q), ref, rtol=1e-10, err_msg=f"{a}, {b}, {q}")
+
+
 # Shapes where a lgamma-difference prefactor, a 200-step fraction or a
 # fraction that cancels for skewed laws used to fail, and the two sides
 # of the switch to Temme's expansion (both shapes above 100).
@@ -307,9 +316,9 @@ def test_temme_switch_agrees_with_the_fraction_at_adjacent_doubles():
             for x, y, lam in zip(xs, ys, lams):
                 prefactor = math.exp(betalaw._ln_prefactor(k, x, y, lam))
                 if lam >= 0.0:
-                    fraction = prefactor * betalaw._bfrac(a, b, x, y, lam)
+                    fraction = prefactor * betalaw._bfrac(a, b, x, y, lam)[0]
                 else:
-                    fraction = prefactor * betalaw._bfrac(b, a, y, x, -lam)
+                    fraction = prefactor * betalaw._bfrac(b, a, y, x, -lam)[0]
                 temme = betalaw._basym(k, lam)
                 np.testing.assert_allclose(temme, fraction, rtol=1e-13, err_msg=f"{a}, {b}, x={x!r}")
             below = lams >= 0.0
@@ -353,13 +362,20 @@ def test_beta_quantile_at_the_median_of_a_million_sample_law():
 
 
 def _agreement_cases():
-    """(law, xs): the LAWS on a grid from 0 to 1, the large-shape grid with x in {0, 1}."""
+    """(law, xs): the LAWS on a grid from 0 to 1, the large-shape grid with x in {0, 1}.
+
+    The last case has more points than one block of the array fraction
+    holds steps x points, so its first blocks run one step each and its
+    last ones, with few points left, run full blocks.
+    """
     grid = np.concatenate([[0.0, 1e-9, 1e-4], np.linspace(0.02, 0.98, 25), [1.0 - 1e-9, 1.0]])
     for law in LAWS:
         yield law, grid
     for a, b in LARGE_SHAPES:
         xs = [x for aa, bb, _, x in _large_shape_grid() if (aa, bb) == (a, b)]
         yield BetaLaw(a, b), np.array([0.0, *xs, 1.0])
+    assert 20_000 > betalaw._CF_BLOCK_CELLS
+    yield BetaLaw(63.0, 64.0), np.linspace(0.0, 1.0, 20_000)
 
 
 @pytest.mark.parametrize("fn", [beta_cdf, beta_sf, beta_pdf], ids=lambda fn: fn.__name__)
@@ -371,6 +387,29 @@ def test_array_kernel_agrees_with_the_scalar_kernel(fn):
         assert np.count_nonzero(scalar > 0.0) > 0
         # rtol only: exact wherever the scalar value is 0 (or infinite)
         np.testing.assert_allclose(fn(law, xs), scalar, rtol=1e-13, atol=0.0, err_msg=f"{law}")
+
+
+def test_fractions_raise_noconvergence_past_the_step_limit(monkeypatch):
+    # the fraction takes 10 steps for Beta(0.5, 0.5) at 0.45 and 33 for
+    # Beta(1000, 1000) at 0.48; the array kernel sizes its first block
+    # from the point with the smaller lam, the first one, so the second
+    # is left unconverged by its blocks, not by that first probe
+    monkeypatch.setattr(betalaw, "_CF_MAX_ITER", 20)
+    points = [(0.5, 0.5, 0.45), (1000.0, 1000.0, 0.48)]
+    a, b, x = (np.array(v) for v in zip(*points))
+    lam = betalaw._lambda(a, b, x)
+    assert lam[0] < lam[1]
+    assert betalaw._bfrac(0.5, 0.5, 0.45, 0.55, float(lam[0]))[1] == 10
+    with pytest.raises(NoConvergence):
+        betalaw._bfrac(1000.0, 1000.0, 0.48, 0.52, float(lam[1]))
+    with pytest.raises(NoConvergence):
+        betalaw._bfrac_array(a, b, x, 1.0 - x, lam)
+    # and through the public functions, where the first block's probe is
+    # the point that does not converge
+    law = BetaLaw(1000.0, 1000.0)
+    for arg in (0.48, np.array([0.3, 0.48])):
+        with pytest.raises(NoConvergence):
+            beta_cdf(law, arg)
 
 
 @pytest.mark.parametrize("fn", [beta_cdf, beta_sf, beta_pdf], ids=lambda fn: fn.__name__)

@@ -1,4 +1,4 @@
-"""Kernel checks: bases, projectors, Hermitian roots, log-determinants."""
+"""Kernel checks: bases, Hermitian roots, log-determinants."""
 
 import numpy as np
 import pytest
@@ -9,6 +9,12 @@ from crbcompress.errors import BadShape, NotPositiveDefinite, RankDeficient, Sin
 
 def _random_complex(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _span_projector(m):
+    """Orthogonal projector q q^H onto the column space of the full-rank ``m``."""
+    q, _ = np.linalg.qr(m)
+    return q @ q.conj().T
 
 
 def _cofactor_det(a):
@@ -35,7 +41,7 @@ def test_orthonormal_columns_random():
     assert q.shape == (8, 3)
     np.testing.assert_allclose(q.conj().T @ q, np.eye(3), atol=1e-12)
     # same column space as the input
-    np.testing.assert_allclose(cxla.projector(q), cxla.projector(m), atol=1e-12)
+    np.testing.assert_allclose(_span_projector(q), _span_projector(m), atol=1e-12)
 
 
 def test_orthonormal_columns_rank_deficient():
@@ -46,50 +52,16 @@ def test_orthonormal_columns_rank_deficient():
         cxla.orthonormal_columns(m)
 
 
-def test_projector_coordinate_column():
-    m = np.zeros((4, 1), dtype=complex)
-    m[0, 0] = 3.0 - 1.0j
-    p = cxla.projector(m)
-    expected = np.zeros((4, 4))
-    expected[0, 0] = 1.0
-    np.testing.assert_allclose(p, expected, atol=1e-14)
-
-
-def test_projector_idempotent_hermitian_binary_spectrum():
-    rng = np.random.default_rng(13)
-    m = _random_complex(rng, (10, 4))
-    p = cxla.projector(m)
-    np.testing.assert_allclose(p, p.conj().T, atol=0.0)
-    np.testing.assert_allclose(p @ p, p, atol=1e-12)
-    eigs = np.linalg.eigvalsh(p)
-    assert np.all((np.abs(eigs) < 1e-10) | (np.abs(eigs - 1.0) < 1e-10))
-    assert abs(np.trace(p).real - 4.0) < 1e-10
-
-
-def test_projector_full_span_is_identity():
-    rng = np.random.default_rng(14)
-    m = _random_complex(rng, (5, 5))
-    np.testing.assert_allclose(cxla.projector(m), np.eye(5), atol=1e-12)
-
-
-def test_projector_right_multiplication_invariance():
-    rng = np.random.default_rng(15)
-    m = _random_complex(rng, (9, 3))
-    t = _random_complex(rng, (3, 3)) + 2.0 * np.eye(3)
-    np.testing.assert_allclose(cxla.projector(m), cxla.projector(m @ t), atol=1e-11)
-
-
-def test_projector_rank_deficient_input_allowed():
+def test_orthonormal_range_truncates_to_the_numerical_rank():
     rng = np.random.default_rng(16)
     col = _random_complex(rng, (7, 1))
     m = np.hstack([col, col, _random_complex(rng, (7, 1))])
-    p = cxla.projector(m)
-    assert abs(np.trace(p).real - 2.0) < 1e-10
-
-
-def test_projector_zero_matrix():
-    p = cxla.projector(np.zeros((4, 2)))
-    np.testing.assert_allclose(p, np.zeros((4, 4)), atol=0.0)
+    q = cxla.orthonormal_range(m)
+    assert q.shape == (7, 2)
+    np.testing.assert_allclose(q.conj().T @ q, np.eye(2), atol=1e-12)
+    # q spans the columns of m
+    np.testing.assert_allclose(q @ (q.conj().T @ m), m, atol=1e-12)
+    assert cxla.orthonormal_range(np.zeros((4, 2))).shape == (4, 0)
 
 
 def test_hermitian_inv_sqrt_scalar_and_diagonal():
