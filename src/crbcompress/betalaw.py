@@ -815,6 +815,9 @@ def _quantile_scalar(law: BetaLaw, k: _Shapes, q: float) -> float:
         # x sits on the bracket unless a Newton step moved it inside
         if not lo < x < hi:
             x = 0.5 * (lo + hi)
+    # a quantile below the smallest positive double is out of reach; 0 is the nearest double
+    if not upper and _tails(k, math.ulp(0.0))[0] > q:
+        return 0.0
     raise NoConvergence(f"beta quantile iteration stalled for a={law.a}, b={law.b}, q={q}")
 
 

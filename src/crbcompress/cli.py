@@ -18,16 +18,18 @@ Subcommands:
 Exit codes: 0 on success, 1 on configuration or usage errors, 2 on
 numerical failures (reported as a JSON object on stderr).
 
-Options may also be supplied through a JSON config file (``--config``);
-explicit flags win over file values.  When ``--seed`` is absent the
-environment variable CRB_COMPRESS_SEED is consulted before falling
-back to 0.
+Every subcommand but ``dist`` reads option values from the JSON object
+named by ``--config`` (see the README for its keys): a flag beats the
+file, and the file beats the built-in default.  A seed set neither way
+comes from the environment variable CRB_COMPRESS_SEED, else 0.
+``--out`` names a directory for the outputs and a ``manifest.json``.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -64,11 +66,24 @@ _NUMERICAL_ERRORS = (
 )
 
 
-def _floats(text: str) -> list[float]:
+# parsed values a config file cannot set: the subcommand, the config file
+# itself, the output directory, the figure selector, and the per-source
+# lists (a file gives scenario.sources instead)
+_FLAG_ONLY = frozenset(
+    {"command", "func", "config", "out", "which", "theta", "amplitudes", "phases"}
+)
+# keys a nested config object may hold; each beats the same top-level key
+_NESTED = {"scenario": ("n", "sources"), "compressor": ("m", "family", "element_variance")}
+
+
+def _float_list(value) -> list[float]:
+    """A comma separated flag string or a config file's JSON list, as floats."""
+    if not isinstance(value, str):
+        return [float(v) for v in value]
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        return [float(tok) for tok in value.split(",") if tok.strip() != ""]
     except ValueError as exc:
-        raise BadSpec(f"could not parse float list {text!r}: {exc}") from exc
+        raise BadSpec(f"could not parse float list {value!r}: {exc}") from exc
 
 
 def _default_seed() -> int:
@@ -81,9 +96,12 @@ def _default_seed() -> int:
         raise BadSpec(f"CRB_COMPRESS_SEED must be an integer, got {env!r}") from exc
 
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
+def _load_config(path: str, options) -> dict:
+    """The values the JSON file at ``path`` gives for ``options``.
+
+    The nested ``scenario`` and ``compressor`` objects are laid over the
+    top-level keys; keys that name no option are ignored.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
@@ -93,45 +111,26 @@ def _load_config(path: str | None) -> dict:
         raise BadSpec(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise BadSpec(f"config file {path} must hold a JSON object")
-    return cfg
+    values = dict(cfg)
+    for name, keys in _NESTED.items():
+        nested = cfg.get(name, {})
+        if not isinstance(nested, dict):
+            raise BadSpec(f"config key {name!r} must be an object")
+        values.update((k, nested[k]) for k in keys if k in nested)
+    values = {k: v for k, v in values.items() if k in options and k not in _FLAG_ONLY}
+    for key in ("n", "seed"):
+        if key in values and not isinstance(values[key], int):
+            raise BadSpec(f"{key} must be an integer, got {values[key]!r}")
+    return values
 
 
-def _pick(flag, cfg: dict, key: str, default):
-    if flag is not None:
-        return flag
-    if key in cfg:
-        return cfg[key]
-    return default
-
-
-def _resolve_seed(args, cfg: dict) -> int:
-    seed = _pick(getattr(args, "seed", None), cfg, "seed", None)
-    if seed is None:
-        return _default_seed()
-    if not isinstance(seed, int):
-        raise BadSpec(f"seed must be an integer, got {seed!r}")
-    return seed
-
-
-def _resolve_scenario(args, cfg: dict) -> UlaScenario:
-    scen_cfg = cfg.get("scenario", {})
-    if not isinstance(scen_cfg, dict):
-        raise BadSpec("config key 'scenario' must be an object")
-    n = _pick(getattr(args, "n", None), scen_cfg, "n", cfg.get("n", 128))
-    if not isinstance(n, int):
-        raise BadSpec(f"n must be an integer, got {n!r}")
-    theta_flag = getattr(args, "theta", None)
-    thetas = _floats(theta_flag) if theta_flag is not None else None
-    amplitudes = phases = None
-    amp_flag = getattr(args, "amplitudes", None)
-    if amp_flag is not None:
-        amplitudes = _floats(amp_flag)
-    phase_flag = getattr(args, "phases", None)
-    if phase_flag is not None:
-        phases = _floats(phase_flag)
-    if thetas is None and "sources" in scen_cfg:
+def _resolve_scenario(args) -> UlaScenario:
+    n = args.n
+    if args.theta is None:
+        if args.sources is None:
+            return two_source_half_rayleigh(n)
         sources = []
-        for entry in scen_cfg["sources"]:
+        for entry in args.sources:
             if not isinstance(entry, dict) or "theta" not in entry:
                 raise BadSpec("each scenario source must be an object with a 'theta' key")
             sources.append(
@@ -142,16 +141,26 @@ def _resolve_scenario(args, cfg: dict) -> UlaScenario:
                 )
             )
         return UlaScenario(n=n, sources=tuple(sources))
-    if thetas is None:
-        return two_source_half_rayleigh(n)
-    amplitudes = amplitudes if amplitudes is not None else [1.0] * len(thetas)
-    phases = phases if phases is not None else [0.0] * len(thetas)
+    thetas = _float_list(args.theta)
+    amplitudes = [1.0] * len(thetas) if args.amplitudes is None else _float_list(args.amplitudes)
+    phases = [0.0] * len(thetas) if args.phases is None else _float_list(args.phases)
     if len(amplitudes) != len(thetas) or len(phases) != len(thetas):
         raise BadSpec("theta, amplitudes, and phases must have matching lengths")
     sources = tuple(
         Source(theta=t, amplitude=a, phase=ph) for t, a, ph in zip(thetas, amplitudes, phases)
     )
     return UlaScenario(n=n, sources=sources)
+
+
+def _compressor(args, n: int) -> CompressorSpec:
+    """The --m, --family and --element-variance options; an unset entry variance is 1/m."""
+    if args.m is None:
+        raise BadSpec("the compressed dimension m is required (flag --m or config key)")
+    m = int(args.m)
+    element_variance = 1.0 / m if args.element_variance is None else float(args.element_variance)
+    return CompressorSpec(
+        m=m, n=n, family=str(args.family), element_variance=element_variance, seed=args.seed
+    )
 
 
 def _scenario_dict(scenario: UlaScenario) -> dict:
@@ -209,25 +218,6 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
             writer.writerow([_csv_cell(v) for v in row])
 
 
-def _write_manifest(outdir: Path, command: str, argv, config: dict, seed: int, outputs, t0: float) -> None:
-    manifest = {
-        "command": command,
-        "argv": list(argv),
-        "config": config,
-        "seed": seed,
-        "version": __version__,
-        "outputs": sorted(str(p) for p in outputs),
-        "duration_s": time.perf_counter() - t0,
-    }
-    _write_json(outdir / "manifest.json", manifest)
-
-
-def _outdir(path: str) -> Path:
-    out = Path(path)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _ks_dict(ks: mcharness.KsResult | None):
     if ks is None:
         return None
@@ -277,14 +267,28 @@ def _histogram_rows(hist: mcharness.Histogram):
         yield (float(left), float(right), int(count), float(dens))
 
 
+def _write_campaign(out: Path, prefix: str, payload: dict, summary: mcharness.ExperimentSummary,
+                    histogram: str = "histogram_{stat}.csv") -> list[str]:
+    """Summary JSON, samples CSV, and one histogram CSV per statistic; returns the file names."""
+    names = [f"{prefix}summary.json", f"{prefix}samples.csv"]
+    _write_json(out / names[0], payload)
+    _write_csv(out / names[1], ["trial", "statistic", "value"], _samples_rows(summary))
+    for stat in sorted(summary.histograms):
+        names.append(histogram.format(stat=stat))
+        _write_csv(
+            out / names[-1],
+            ["bin_left", "bin_right", "count", "density"],
+            _histogram_rows(summary.histograms[stat]),
+        )
+    return names
+
+
 # ---------------------------------------------------------------- fisher
 
 
-def _cmd_fisher(args, argv) -> int:
-    t0 = time.perf_counter()
-    cfg = _load_config(args.config)
-    scenario = _resolve_scenario(args, cfg)
-    sigma2 = float(_pick(args.sigma2, cfg, "sigma2", 1.0))
+def _cmd_fisher(args, out: Path | None):
+    scenario = _resolve_scenario(args)
+    sigma2 = float(args.sigma2)
     model = UlaModel(scenario)
     info = fisher.fim(model.jacobian(model.reference_theta), sigma2)
     bounds = [fisher.crb(info, i) for i in range(info.p)]
@@ -297,103 +301,48 @@ def _cmd_fisher(args, argv) -> int:
         "fim": info.J,
     }
     print(json.dumps(_jsonable(payload)))
-    if args.out is not None:
-        out = _outdir(args.out)
+    if out is not None:
         _write_json(out / "fisher.json", payload)
-        _write_manifest(
-            out, "fisher", argv, {"scenario": _scenario_dict(scenario), "sigma2": sigma2},
-            _resolve_seed(args, cfg), ["fisher.json"], t0,
-        )
-    return 0
+    return {"scenario": payload["scenario"], "sigma2": sigma2}, ["fisher.json"]
 
 
 # ---------------------------------------------------------------- simulate
 
 
-def _simulate_config(args, cfg: dict):
-    scenario = _resolve_scenario(args, cfg)
-    comp_cfg = cfg.get("compressor", {})
-    if not isinstance(comp_cfg, dict):
-        raise BadSpec("config key 'compressor' must be an object")
-    m = _pick(args.m, comp_cfg, "m", cfg.get("m"))
-    if m is None:
-        raise BadSpec("the compressed dimension m is required (flag --m or config key)")
-    family = _pick(args.family, comp_cfg, "family", cfg.get("family", "gaussian"))
-    element_variance = float(
-        _pick(args.element_variance, comp_cfg, "element_variance", cfg.get("element_variance", 1.0))
-    )
-    seed = _resolve_seed(args, cfg)
-    trials = _pick(args.trials, cfg, "trials", 10000)
-    stats = tuple(args.stat) if args.stat else tuple(cfg.get("statistics", ("crb_ratio",)))
-    theta_alt = None
-    if args.theta_alt is not None:
-        theta_alt = _floats(args.theta_alt)
-    elif "theta_alt" in cfg:
-        theta_alt = [float(v) for v in cfg["theta_alt"]]
-    spec = CompressorSpec(
-        m=int(m), n=scenario.n, family=str(family), element_variance=element_variance, seed=seed
-    )
+def _cmd_simulate(args, out: Path | None):
+    scenario = _resolve_scenario(args)
+    spec = _compressor(args, scenario.n)
+    theta_alt = None if args.theta_alt is None else _float_list(args.theta_alt)
     config = mcharness.ExperimentConfig(
         compressor=spec,
-        trials=int(trials),
+        trials=int(args.trials),
         model=UlaModel(scenario),
-        sigma2=float(_pick(args.sigma2, cfg, "sigma2", 1.0)),
-        statistics=stats,
-        crb_index=int(_pick(args.crb_index, cfg, "crb_index", 0)),
+        sigma2=float(args.sigma2),
+        statistics=tuple(args.statistics),
+        crb_index=int(args.crb_index),
         theta_alt=np.asarray(theta_alt, dtype=np.float64) if theta_alt is not None else None,
-        seed=seed,
-        histogram_bins=int(_pick(args.bins, cfg, "histogram_bins", 50)),
-        ks_alpha=float(_pick(args.alpha, cfg, "ks_alpha", 0.01)),
-        allow_law_violation=bool(
-            _pick(args.allow_law_violation or None, cfg, "allow_law_violation", False)
-        ),
-        threads=int(_pick(args.threads, cfg, "threads", 1)),
+        seed=args.seed,
+        histogram_bins=int(args.histogram_bins),
+        ks_alpha=float(args.ks_alpha),
+        allow_law_violation=bool(args.allow_law_violation),
     )
     config_dict = {
         "scenario": _scenario_dict(scenario),
         "sigma2": config.sigma2,
-        "compressor": {
-            "m": spec.m,
-            "n": spec.n,
-            "family": spec.family,
-            "element_variance": spec.element_variance,
-            "seed": spec.seed,
-        },
+        "compressor": dataclasses.asdict(spec),
         "trials": config.trials,
         "statistics": list(config.statistics),
         "crb_index": config.crb_index,
         "theta_alt": theta_alt,
-        "seed": seed,
+        "seed": args.seed,
         "histogram_bins": config.histogram_bins,
         "ks_alpha": config.ks_alpha,
         "allow_law_violation": config.allow_law_violation,
-        "threads": config.threads,
     }
-    return config, config_dict, seed
-
-
-def _cmd_simulate(args, argv) -> int:
-    t0 = time.perf_counter()
-    cfg = _load_config(args.config)
-    config, config_dict, seed = _simulate_config(args, cfg)
     summary = mcharness.run(config)
     payload = _summary_payload(summary, config_dict)
     print(json.dumps(_jsonable(payload)))
-    if args.out is not None:
-        out = _outdir(args.out)
-        outputs = ["summary.json", "samples.csv"]
-        _write_json(out / "summary.json", payload)
-        _write_csv(out / "samples.csv", ["trial", "statistic", "value"], _samples_rows(summary))
-        for name in sorted(summary.histograms):
-            fname = f"histogram_{name}.csv"
-            _write_csv(
-                out / fname,
-                ["bin_left", "bin_right", "count", "density"],
-                _histogram_rows(summary.histograms[name]),
-            )
-            outputs.append(fname)
-        _write_manifest(out, "simulate", argv, config_dict, seed, outputs, t0)
-    return 0
+    return config_dict, [] if out is None else _write_campaign(out, "", payload, summary)
 
 
 # ---------------------------------------------------------------- dist
@@ -413,7 +362,7 @@ def _dist_law(args) -> betalaw.BetaLaw:
     return betalaw.BetaLaw(args.a, args.b)
 
 
-def _cmd_dist(args, argv) -> int:
+def _cmd_dist(args) -> None:
     law = _dist_law(args)
     if args.eval == "pdf":
         value = betalaw.beta_pdf(law, args.at)
@@ -422,45 +371,32 @@ def _cmd_dist(args, argv) -> int:
     else:
         value = betalaw.beta_quantile(law, args.at)
     print(repr(float(value)))
-    return 0
 
 
 # ---------------------------------------------------------------- plan
 
 
-def _cmd_plan(args, argv) -> int:
-    t0 = time.perf_counter()
-    cfg = _load_config(args.config)
-    n = _pick(args.n, cfg, "n", 128)
-    p = _pick(args.p, cfg, "p", 2)
-    kappas_flag = _pick(args.kappas, cfg, "kappas", None)
-    if kappas_flag is not None:
-        kappas = _floats(kappas_flag) if isinstance(kappas_flag, str) else [float(v) for v in kappas_flag]
-        conf_flag = _pick(args.confidences, cfg, "confidences", None)
-        if conf_flag is None:
-            confidences = list(planner.DEFAULT_CONFIDENCES)
-        elif isinstance(conf_flag, str):
-            confidences = _floats(conf_flag)
-        else:
-            confidences = [float(v) for v in conf_flag]
-        rows = planner.curve(n, p, kappas, confidences)
-        table = [(r.kappa, r.confidence, r.m, r.ratio) for r in rows]
-        if args.out is None:
+def _write_plan(path: Path, rows) -> None:
+    table = [(r.kappa, r.confidence, r.m, r.ratio) for r in rows]
+    _write_csv(path, ["kappa", "confidence", "m", "ratio"], table)
+
+
+def _cmd_plan(args, out: Path | None):
+    if args.kappas is not None:
+        if out is None:
             raise BadSpec("table mode needs --out for the CSV")
-        out = _outdir(args.out)
-        _write_csv(out / "plan.csv", ["kappa", "confidence", "m", "ratio"], table)
-        _write_manifest(
-            out, "plan", argv,
-            {"n": n, "p": p, "kappas": kappas, "confidences": confidences},
-            _resolve_seed(args, cfg), ["plan.csv"], t0,
-        )
-        print(json.dumps({"rows": len(table), "out": str(out / "plan.csv")}))
-        return 0
-    kappa = _pick(args.kappa, cfg, "kappa", None)
-    confidence = _pick(args.confidence, cfg, "confidence", None)
-    if kappa is None or confidence is None:
+        kappas = _float_list(args.kappas)
+        confidences = _float_list(args.confidences)
+        rows = planner.curve(args.n, args.p, kappas, confidences)
+        _write_plan(out / "plan.csv", rows)
+        print(json.dumps({"rows": len(rows), "out": str(out / "plan.csv")}))
+        config = {"n": args.n, "p": args.p, "kappas": kappas, "confidences": confidences}
+        return config, ["plan.csv"]
+    if args.kappa is None or args.confidence is None:
         raise BadSpec("single query mode needs --kappa and --confidence")
-    query = planner.PlanQuery(n=int(n), p=int(p), kappa=float(kappa), confidence=float(confidence))
+    query = planner.PlanQuery(
+        n=int(args.n), p=int(args.p), kappa=float(args.kappa), confidence=float(args.confidence)
+    )
     m = planner.min_measurements(query)
     payload = {
         "n": query.n,
@@ -472,14 +408,14 @@ def _cmd_plan(args, argv) -> int:
         "confidence_achieved": planner.confidence_at(query.n, m, query.p, query.kappa),
     }
     print(json.dumps(_jsonable(payload)))
-    return 0
+    return {k: payload[k] for k in ("n", "p", "kappa", "confidence")}, []
 
 
 # ---------------------------------------------------------------- ellipse
 
 
 def _ellipse_curves(scenario: UlaScenario, sigma2: float, spec: CompressorSpec,
-                    draws: int, r2: float | None, points: int, seed: int):
+                    draws: int, r2: float | None, points: int):
     model = UlaModel(scenario)
     if model.p != 2:
         raise BadSpec(f"ellipse loci need a two-parameter scenario, got p={model.p}")
@@ -492,7 +428,7 @@ def _ellipse_curves(scenario: UlaScenario, sigma2: float, spec: CompressorSpec,
     a_before = 0.5 * (a_before + a_before.T)
     L = np.linalg.cholesky(a_before)
     for d in range(draws):
-        rng = derive_stream(seed, d)
+        rng = derive_stream(spec.seed, d)
         phi = sample(spec, rng)
         after = fisher.compressed_fim(G, phi, sigma2)
         curves.append((d + 1, planner.ellipse_locus(after.J, level, points)))
@@ -500,7 +436,7 @@ def _ellipse_curves(scenario: UlaScenario, sigma2: float, spec: CompressorSpec,
         a_after = 0.5 * (a_after + a_after.T)
         white = np.linalg.solve(L, np.linalg.solve(L, a_after.T).T)
         lam_max.append(float(np.linalg.eigvalsh(0.5 * (white + white.T))[-1]))
-    return info, level, curves, lam_max
+    return level, curves, lam_max
 
 
 def _write_ellipse_outputs(out: Path, prefix: str, level: float, curves, lam_max):
@@ -535,40 +471,23 @@ def _write_ellipse_outputs(out: Path, prefix: str, level: float, curves, lam_max
     return [csv_name, svg_name, metrics_name]
 
 
-def _cmd_ellipse(args, argv) -> int:
-    t0 = time.perf_counter()
-    cfg = _load_config(args.config)
-    scenario = _resolve_scenario(args, cfg)
-    sigma2 = float(_pick(args.sigma2, cfg, "sigma2", 1.0))
-    seed = _resolve_seed(args, cfg)
-    m = _pick(args.m, cfg, "m", None)
-    if m is None:
-        raise BadSpec("the compressed dimension m is required (flag --m or config key)")
-    family = str(_pick(args.family, cfg, "family", "gaussian"))
-    element_variance = float(_pick(args.element_variance, cfg, "element_variance", 1.0 / int(m)))
-    spec = CompressorSpec(
-        m=int(m), n=scenario.n, family=family, element_variance=element_variance, seed=seed
+def _cmd_ellipse(args, out: Path):
+    scenario = _resolve_scenario(args)
+    sigma2 = float(args.sigma2)
+    spec = _compressor(args, scenario.n)
+    level, curves, lam_max = _ellipse_curves(
+        scenario, sigma2, spec, int(args.draws), args.r2, int(args.points)
     )
-    r2 = _pick(args.r2, cfg, "r2", None)
-    info, level, curves, lam_max = _ellipse_curves(
-        scenario, sigma2, spec, int(_pick(args.draws, cfg, "draws", 100)),
-        r2, int(_pick(args.points, cfg, "points", 256)), seed,
-    )
-    out = _outdir(args.out)
     outputs = _write_ellipse_outputs(out, "ellipse", level, curves, lam_max)
+    print(json.dumps({"out": str(out), "max_lambda_max": max(lam_max) if lam_max else None}))
     config_dict = {
         "scenario": _scenario_dict(scenario),
         "sigma2": sigma2,
-        "compressor": {
-            "m": spec.m, "n": spec.n, "family": spec.family,
-            "element_variance": spec.element_variance, "seed": spec.seed,
-        },
+        "compressor": dataclasses.asdict(spec),
         "draws": len(lam_max),
         "r2": level,
     }
-    _write_manifest(out, "ellipse", argv, config_dict, seed, outputs, t0)
-    print(json.dumps({"out": str(out), "max_lambda_max": max(lam_max) if lam_max else None}))
-    return 0
+    return config_dict, outputs
 
 
 # ---------------------------------------------------------------- figures
@@ -588,22 +507,15 @@ def _fig1(out: Path, n: int, m: int, trials: int, bins: int, seed: int) -> list[
     summary = mcharness.run(config)
     config_dict = {
         "scenario": _scenario_dict(scenario),
-        "compressor": {
-            "m": m, "n": n, "family": "gaussian",
-            "element_variance": 1.0 / m, "seed": seed,
-        },
+        "compressor": dataclasses.asdict(spec),
         "trials": trials,
         "statistics": ["crb_ratio"],
         "histogram_bins": bins,
     }
-    _write_json(out / "fig1_summary.json", _summary_payload(summary, config_dict))
-    _write_csv(out / "fig1_samples.csv", ["trial", "statistic", "value"], _samples_rows(summary))
+    # one statistic, so its histogram's name carries none
+    payload = _summary_payload(summary, config_dict)
+    outputs = _write_campaign(out, "fig1_", payload, summary, histogram="fig1_histogram.csv")
     hist = summary.histograms["crb_ratio"]
-    _write_csv(
-        out / "fig1_histogram.csv",
-        ["bin_left", "bin_right", "count", "density"],
-        _histogram_rows(hist),
-    )
     law = betalaw.crb_ratio_law(n, m, summary.p)
     lo, hi = float(hist.edges[0]), float(hist.edges[-1])
     xs = np.linspace(lo, hi, 512)
@@ -622,13 +534,13 @@ def _fig1(out: Path, n: int, m: int, trials: int, bins: int, seed: int) -> list[
         (f"Beta({int(law.a)}, {int(law.b)})", "#d62728"),
     ])
     canvas.write(out / "fig1.svg")
-    return ["fig1_summary.json", "fig1_samples.csv", "fig1_histogram.csv", "fig1_pdf.csv", "fig1.svg"]
+    return outputs + ["fig1_pdf.csv", "fig1.svg"]
 
 
 def _fig2(out: Path, n: int, m: int, draws: int, points: int, seed: int) -> list[str]:
     scenario = two_source_half_rayleigh(n)
     spec = CompressorSpec(m=m, n=n, family="gaussian", element_variance=1.0 / m, seed=seed)
-    _, level, curves, lam_max = _ellipse_curves(scenario, 1.0, spec, draws, None, points, seed)
+    level, curves, lam_max = _ellipse_curves(scenario, 1.0, spec, draws, None, points)
     return _write_ellipse_outputs(out, "fig2", level, curves, lam_max)
 
 
@@ -636,11 +548,7 @@ def _fig3(out: Path, n: int, p: int) -> list[str]:
     kappas = np.linspace(1.1, 5.0, 40).tolist()
     confidences = list(planner.DEFAULT_CONFIDENCES)
     rows = planner.curve(n, p, kappas, confidences)
-    _write_csv(
-        out / "fig3_plan.csv",
-        ["kappa", "confidence", "m", "ratio"],
-        [(r.kappa, r.confidence, r.m, r.ratio) for r in rows],
-    )
+    _write_plan(out / "fig3_plan.csv", rows)
     feasible = [r for r in rows if r.feasible]
     ratios = [r.ratio for r in feasible]
     canvas = svgfig.SvgCanvas(
@@ -660,46 +568,71 @@ def _fig3(out: Path, n: int, p: int) -> list[str]:
     return ["fig3_plan.csv", "fig3.svg"]
 
 
-def _cmd_figures(args, argv) -> int:
-    t0 = time.perf_counter()
-    cfg = _load_config(args.config)
-    seed = _resolve_seed(args, cfg)
-    n = int(_pick(args.n, cfg, "n", 128))
-    m = int(_pick(args.m, cfg, "m", 64))
-    trials = int(_pick(args.trials, cfg, "trials", 10000))
-    draws = int(_pick(args.draws, cfg, "draws", 100))
-    points = int(_pick(args.points, cfg, "points", 256))
-    bins = int(_pick(args.bins, cfg, "bins", 50))
-    which = args.which
-    out = _outdir(args.out)
+def _cmd_figures(args, out: Path):
+    n = int(args.n)
+    m = int(args.m)
+    trials = int(args.trials)
+    draws = int(args.draws)
+    points = int(args.points)
+    bins = int(args.bins)
     outputs: list[str] = []
-    if which in ("fig1", "all"):
-        outputs.extend(_fig1(out, n, m, trials, bins, seed))
-    if which in ("fig2", "all"):
-        outputs.extend(_fig2(out, n, m, draws, points, seed))
-    if which in ("fig3", "all"):
+    if args.which in ("fig1", "all"):
+        outputs.extend(_fig1(out, n, m, trials, bins, args.seed))
+    if args.which in ("fig2", "all"):
+        outputs.extend(_fig2(out, n, m, draws, points, args.seed))
+    if args.which in ("fig3", "all"):
         outputs.extend(_fig3(out, n, 2))
+    print(json.dumps({"out": str(out), "outputs": sorted(outputs)}))
     config_dict = {
-        "which": which, "n": n, "m": m, "trials": trials,
+        "which": args.which, "n": n, "m": m, "trials": trials,
         "draws": draws, "points": points, "bins": bins,
     }
-    _write_manifest(out, "figures", argv, config_dict, seed, outputs, t0)
-    print(json.dumps({"out": str(out), "outputs": sorted(outputs)}))
-    return 0
+    return config_dict, outputs
 
 
 # ---------------------------------------------------------------- parser
 
 
+class _AppendOver(argparse.Action):
+    """Repeatable flag collecting a list; its first use replaces the default list."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        chosen = getattr(namespace, self.dest)
+        setattr(namespace, self.dest, [*([] if chosen is self.default else chosen), value])
+
+
+def _add_run_flags(sub: argparse.ArgumentParser, out_help: str, *, seed: bool = True,
+                   out_required: bool = False) -> None:
+    """--config, --seed and --out, which main handles for every subcommand."""
+    sub.add_argument("--config", type=str, default=None, help="JSON file of option values")
+    if seed:
+        sub.add_argument("--seed", type=int, default=None,
+                         help="random seed; None reads $CRB_COMPRESS_SEED, else 0")
+    else:
+        # draws nothing, but the manifest records a seed from the file or environment
+        sub.set_defaults(seed=None)
+    sub.add_argument("--out", type=str, default=None, required=out_required, help=out_help)
+
+
 def _add_scenario_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--n", type=int, default=None, help="number of array sensors")
+    sub.add_argument("--n", type=int, default=128, help="number of array sensors")
     sub.add_argument("--theta", type=str, default=None, help="comma separated source angles")
     sub.add_argument("--amplitudes", type=str, default=None, help="comma separated amplitudes")
     sub.add_argument("--phases", type=str, default=None, help="comma separated phases")
-    sub.add_argument("--sigma2", type=float, default=None, help="noise power per sample")
+    sub.add_argument("--sigma2", type=float, default=1.0, help="noise power per sample")
+    # a config file's scenario.sources, used when --theta is absent
+    sub.set_defaults(sources=None)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _add_compressor_flags(sub: argparse.ArgumentParser, element_variance: float | None) -> None:
+    sub.add_argument("--m", type=int, default=None, help="compressed dimension, required")
+    sub.add_argument("--family", type=str, default="gaussian", choices=list(FAMILIES),
+                     help="compressor ensemble")
+    sub.add_argument("--element-variance", type=float, default=element_variance,
+                     help="variance of each compressor entry; None means 1/m")
+
+
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     parser = argparse.ArgumentParser(
         prog="crb-compress",
         description="Fisher information and Cramer-Rao bounds under random compression",
@@ -707,31 +640,32 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"crb-compress {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    sub = subs.add_parser("fisher", help="information matrix and CRBs for a scenario")
-    sub.add_argument("--config", type=str, default=None)
-    _add_scenario_flags(sub)
-    sub.add_argument("--out", type=str, default=None, help="directory for fisher.json")
-    sub.set_defaults(func=_cmd_fisher)
+    def add(name: str, help: str, func) -> argparse.ArgumentParser:
+        sub = subs.add_parser(
+            name, help=help, formatter_class=argparse.ArgumentDefaultsHelpFormatter
+        )
+        sub.set_defaults(func=func)
+        return sub
 
-    sub = subs.add_parser("simulate", help="run a Monte Carlo campaign")
-    sub.add_argument("--config", type=str, default=None)
+    sub = add("fisher", "information matrix and CRBs for a scenario", _cmd_fisher)
+    _add_run_flags(sub, "directory for fisher.json", seed=False)
     _add_scenario_flags(sub)
-    sub.add_argument("--m", type=int, default=None, help="compressed dimension")
-    sub.add_argument("--family", type=str, default=None, choices=list(FAMILIES))
-    sub.add_argument("--element-variance", type=float, default=None)
-    sub.add_argument("--trials", type=int, default=None)
-    sub.add_argument("--stat", action="append", default=None, choices=list(mcharness.STATISTICS))
-    sub.add_argument("--crb-index", type=int, default=None)
+
+    sub = add("simulate", "run a Monte Carlo campaign", _cmd_simulate)
+    _add_run_flags(sub, "directory for JSON and CSV outputs")
+    _add_scenario_flags(sub)
+    _add_compressor_flags(sub, 1.0)
+    sub.add_argument("--trials", type=int, default=10000, help="compressor draws")
+    sub.add_argument("--stat", dest="statistics", action=_AppendOver, default=["crb_ratio"],
+                     choices=list(mcharness.STATISTICS), help="statistic to sample (repeatable)")
+    sub.add_argument("--crb-index", type=int, default=0, help="parameter of the crb_ratio")
     sub.add_argument("--theta-alt", type=str, default=None, help="second parameter point for kl_ratio")
-    sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--bins", type=int, default=None)
-    sub.add_argument("--threads", type=int, default=None)
-    sub.add_argument("--alpha", type=float, default=None, help="KS significance level")
-    sub.add_argument("--allow-law-violation", action="store_true", default=False)
-    sub.add_argument("--out", type=str, default=None, help="directory for JSON and CSV outputs")
-    sub.set_defaults(func=_cmd_simulate)
+    sub.add_argument("--bins", dest="histogram_bins", type=int, default=50, help="histogram bins")
+    sub.add_argument("--alpha", dest="ks_alpha", type=float, default=0.01, help="KS significance level")
+    sub.add_argument("--allow-law-violation", action="store_true", default=False,
+                     help="warn instead of failing outside p < m <= n - p")
 
-    sub = subs.add_parser("dist", help="evaluate the scalar loss laws")
+    sub = add("dist", "evaluate the scalar loss laws", _cmd_dist)
     sub.add_argument("--law", type=str, required=True, choices=["crb-ratio", "kl-ratio", "beta"])
     sub.add_argument("--n", type=int, default=None)
     sub.add_argument("--m", type=int, default=None)
@@ -740,58 +674,73 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--b", type=float, default=None)
     sub.add_argument("--eval", type=str, required=True, choices=["pdf", "cdf", "quantile"])
     sub.add_argument("--at", type=float, required=True)
-    sub.set_defaults(func=_cmd_dist)
 
-    sub = subs.add_parser("plan", help="minimum measurements for a target inflation")
-    sub.add_argument("--config", type=str, default=None)
-    sub.add_argument("--n", type=int, default=None)
-    sub.add_argument("--p", type=int, default=None)
-    sub.add_argument("--kappa", type=float, default=None)
-    sub.add_argument("--confidence", type=float, default=None)
+    sub = add("plan", "minimum measurements for a target inflation", _cmd_plan)
+    _add_run_flags(sub, "directory for plan.csv (table mode)", seed=False)
+    sub.add_argument("--n", type=int, default=128, help="uncompressed dimension")
+    sub.add_argument("--p", type=int, default=2, help="number of parameters")
+    sub.add_argument("--kappa", type=float, default=None, help="allowed CRB inflation factor")
+    sub.add_argument("--confidence", type=float, default=None,
+                     help="probability that the inflation stays within kappa")
     sub.add_argument("--kappas", type=str, default=None, help="comma separated grid (table mode)")
-    sub.add_argument("--confidences", type=str, default=None, help="comma separated grid (table mode)")
-    sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--out", type=str, default=None, help="directory for plan.csv (table mode)")
-    sub.set_defaults(func=_cmd_plan)
+    sub.add_argument("--confidences", type=str, default=list(planner.DEFAULT_CONFIDENCES),
+                     help="comma separated grid (table mode)")
 
-    sub = subs.add_parser("ellipse", help="concentration ellipse loci")
-    sub.add_argument("--config", type=str, default=None)
+    sub = add("ellipse", "concentration ellipse loci", _cmd_ellipse)
+    _add_run_flags(sub, "output directory", out_required=True)
     _add_scenario_flags(sub)
-    sub.add_argument("--m", type=int, default=None)
-    sub.add_argument("--family", type=str, default=None, choices=list(FAMILIES))
-    sub.add_argument("--element-variance", type=float, default=None)
-    sub.add_argument("--draws", type=int, default=None)
-    sub.add_argument("--r2", type=float, default=None, help="ellipse level (default Re(J)_00)")
-    sub.add_argument("--points", type=int, default=None)
-    sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--out", type=str, required=True)
-    sub.set_defaults(func=_cmd_ellipse)
+    _add_compressor_flags(sub, None)
+    sub.add_argument("--draws", type=int, default=100, help="compressor draws")
+    sub.add_argument("--r2", type=float, default=None, help="ellipse level; None means Re(J)_00")
+    sub.add_argument("--points", type=int, default=256, help="points per ellipse")
 
-    sub = subs.add_parser("figures", help="reproduce the demonstration figures")
-    sub.add_argument("--config", type=str, default=None)
-    sub.add_argument("--which", type=str, default="all", choices=["fig1", "fig2", "fig3", "all"])
-    sub.add_argument("--n", type=int, default=None)
-    sub.add_argument("--m", type=int, default=None)
-    sub.add_argument("--trials", type=int, default=None)
-    sub.add_argument("--draws", type=int, default=None)
-    sub.add_argument("--points", type=int, default=None)
-    sub.add_argument("--bins", type=int, default=None)
-    sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--out", type=str, required=True)
-    sub.set_defaults(func=_cmd_figures)
+    sub = add("figures", "reproduce the demonstration figures", _cmd_figures)
+    _add_run_flags(sub, "output directory", out_required=True)
+    sub.add_argument("--which", type=str, default="all", choices=["fig1", "fig2", "fig3", "all"],
+                     help="figure to make")
+    sub.add_argument("--n", type=int, default=128, help="number of array sensors")
+    sub.add_argument("--m", type=int, default=64, help="compressed dimension")
+    sub.add_argument("--trials", type=int, default=10000, help="fig1 compressor draws")
+    sub.add_argument("--draws", type=int, default=100, help="fig2 compressor draws")
+    sub.add_argument("--points", type=int, default=256, help="points per fig2 ellipse")
+    sub.add_argument("--bins", type=int, default=50, help="fig1 histogram bins")
 
-    return parser
+    return parser, subs.choices
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = _build_parser()
+    parser, subparsers = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if "config" not in args:  # dist: no file, seed or output directory
+            args.func(args)
+            return 0
+        t0 = time.perf_counter()
+        if args.config is not None:
+            # the file's values become defaults, so flags still beat them
+            subparsers[args.command].set_defaults(**_load_config(args.config, vars(args)))
+            args = parser.parse_args(argv)
+        if args.seed is None:
+            args.seed = _default_seed()
+        out = None if args.out is None else Path(args.out)
+        if out is not None:
+            out.mkdir(parents=True, exist_ok=True)
+        config, outputs = args.func(args, out)
+        if out is not None:
+            manifest = {
+                "command": args.command,
+                "argv": argv,
+                "config": config,
+                "seed": args.seed,
+                "version": __version__,
+                "outputs": sorted(outputs),
+                "duration_s": time.perf_counter() - t0,
+            }
+            _write_json(out / "manifest.json", manifest)
+        return 0
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
-    try:
-        return args.func(args, argv)
     except _CONFIG_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -115,13 +115,13 @@ def compressed_fim(G, phi, sigma2: float = 1.0) -> FimResult:
         raise BadShape(f"phi has {phi.shape[1]} columns, expected n={n}")
     if not p < m <= n:
         raise BadShape(f"need p < m <= n, got p={p}, m={m}, n={n}")
+    if not (sigma2 > 0.0 and math.isfinite(sigma2)):
+        raise BadShape(f"sigma2 must be positive and finite, got {sigma2}")
     try:
         q = cxla.orthonormal_columns(phi.conj().T)
     except RankDeficient as exc:
         raise RankDeficient(f"phi does not have full row rank: {exc}") from exc
     g_hat = q @ (q.conj().T @ G)
-    if not (sigma2 > 0.0 and math.isfinite(sigma2)):
-        raise BadShape(f"sigma2 must be positive and finite, got {sigma2}")
     j_hat = cxla.hermitian_part(g_hat.conj().T @ g_hat) / sigma2
     return FimResult(J=j_hat, G=g_hat, sigma2=float(sigma2))
 

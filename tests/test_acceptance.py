@@ -48,7 +48,6 @@ def big_doa_campaign():
         model=UlaModel(two_source_half_rayleigh(128)),
         statistics=("crb_ratio",),
         seed=101,
-        threads=4,
     )
     return run(config)
 
@@ -90,7 +89,6 @@ def test_criterion_3_normalized_fim_mean():
         model=UlaModel(two_source_half_rayleigh(32)),
         statistics=("w_mean",),
         seed=103,
-        threads=4,
     )
     summary = run(config)
     assert summary.excluded_trials == 0
@@ -112,7 +110,6 @@ def test_criterion_4_kl_ratio_law():
         statistics=("kl_ratio",),
         theta_alt=model.reference_theta + np.array([0.011, -0.017]),
         seed=104,
-        threads=4,
     )
     summary = run(config)
     s = summary.stats["kl_ratio"]
@@ -137,7 +134,6 @@ def test_criterion_5_universality_across_models_and_families():
                 trials=trials,
                 statistics=("crb_ratio",),
                 seed=seed,
-                threads=4,
                 **source_kw,
             )
             batches[(family, tag)] = run(config).samples["crb_ratio"]
@@ -214,7 +210,6 @@ def test_criterion_8_planner_consistency():
         model=UlaModel(two_source_half_rayleigh(128)),
         statistics=("crb_ratio",),
         seed=108,
-        threads=4,
     )
     summary = run(config)
     # inflation <= kappa exactly when the before/after ratio is >= 1/kappa

@@ -182,6 +182,18 @@ def test_beta_quantile_far_below_the_mean_of_small_first_shapes():
         np.testing.assert_allclose(beta_quantile(BetaLaw(a, b), q), ref, rtol=1e-10, err_msg=f"{a}, {b}, {q}")
 
 
+def test_beta_quantile_below_the_smallest_double_is_zero():
+    # I_x ~ x^a / (a B(a, b)) puts these quantiles near 1e-699, 1e-398
+    # and 1e-30000; the cdf at the smallest positive double already
+    # exceeds q.  At q = 0.2 the iteration starts from the normal
+    # approximation, at the others from the tail's leading term
+    tiny = math.ulp(0.0)
+    for a, b, q in [(0.001, 0.001, 0.1), (0.001, 0.001, 0.2), (0.01, 5.0, 1e-300)]:
+        law = BetaLaw(a, b)
+        assert beta_cdf(law, tiny) > q
+        assert beta_quantile(law, q) == 0.0
+
+
 # Shapes where a lgamma-difference prefactor, a 200-step fraction or a
 # fraction that cancels for skewed laws used to fail, and the two sides
 # of the switch to Temme's expansion (both shapes above 100).

@@ -191,16 +191,6 @@ def test_simulate_is_byte_reproducible(tmp_path, capsys):
     assert (out_a / "summary.json").read_bytes() == (out_b / "summary.json").read_bytes()
 
 
-def test_simulate_threads_do_not_change_results(tmp_path, capsys):
-    out_a = tmp_path / "serial"
-    out_b = tmp_path / "threaded"
-    base = ["simulate", "--n", "16", "--m", "6", "--trials", "120", "--seed", "9"]
-    assert cli.main(base + ["--threads", "1", "--out", str(out_a)]) == 0
-    assert cli.main(base + ["--threads", "4", "--out", str(out_b)]) == 0
-    capsys.readouterr()
-    assert (out_a / "samples.csv").read_bytes() == (out_b / "samples.csv").read_bytes()
-
-
 def test_simulate_seed_from_environment(tmp_path, capsys, monkeypatch):
     out_env = tmp_path / "env"
     out_flag = tmp_path / "flag"
@@ -227,12 +217,15 @@ def test_simulate_config_file_with_flag_override(tmp_path, capsys):
         "trials": 80,
         "seed": 3,
         "histogram_bins": 10,
+        "statistics": ["w_mean"],
     }
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(config))
-    assert cli.main(["simulate", "--config", str(cfg_path), "--trials", "90"]) == 0
+    assert cli.main(["simulate", "--config", str(cfg_path), "--trials", "90",
+                     "--stat", "crb_ratio"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["trials"] == 90  # flag beats file
+    assert payload["config"]["statistics"] == ["crb_ratio"]  # not appended to the file's list
     assert payload["m"] == 6
     assert payload["config"]["compressor"]["family"] == "stiefel"
     assert cli.main(["simulate", "--config", str(tmp_path / "missing.json")]) == 1
@@ -354,3 +347,58 @@ def test_manifest_records_argv_and_seed(tmp_path, capsys):
     assert sorted(manifest["outputs"]) == manifest["outputs"]
     assert manifest["duration_s"] > 0.0
     assert math.isfinite(manifest["duration_s"])
+
+
+def _write_config(tmp_path, config):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    return str(path)
+
+
+def test_config_nested_objects_beat_top_level_keys(tmp_path, capsys):
+    cfg = _write_config(tmp_path, {
+        "n": 40, "m": 20, "scenario": {"n": 16}, "compressor": {"m": 6},
+        "trials": 50, "seed": 1,
+    })
+    assert cli.main(["simulate", "--config", cfg]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["n"] == 16 and payload["m"] == 6
+
+
+def test_config_seed_beats_environment(tmp_path, capsys, monkeypatch):
+    cfg = _write_config(tmp_path, {"seed": 5})
+    monkeypatch.setenv("CRB_COMPRESS_SEED", "42")
+    assert cli.main(["simulate", "--config", cfg, "--n", "16", "--m", "6",
+                     "--trials", "50"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["seed"] == 5
+
+
+def test_plan_table_reads_lists_from_config(tmp_path, capsys):
+    by_flag = tmp_path / "flag"
+    by_file = tmp_path / "file"
+    assert cli.main(["plan", "--n", "64", "--p", "2", "--kappas", "1.5,2.0,3.0",
+                     "--confidences", "0.9,0.99", "--out", str(by_flag)]) == 0
+    cfg = _write_config(tmp_path, {"n": 64, "p": 2, "kappas": [1.5, 2.0, 3.0],
+                                   "confidences": [0.9, 0.99]})
+    assert cli.main(["plan", "--config", cfg, "--out", str(by_file)]) == 0
+    capsys.readouterr()
+    assert (by_file / "plan.csv").read_bytes() == (by_flag / "plan.csv").read_bytes()
+
+
+def test_figures_reads_bins_from_config(tmp_path, capsys):
+    out = tmp_path / "figs"
+    cfg = _write_config(tmp_path, {"bins": 12})
+    assert cli.main(["figures", "--config", cfg, "--which", "fig1", "--n", "16", "--m", "8",
+                     "--trials", "100", "--seed", "6", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert len(_read_csv(out / "fig1_histogram.csv")) == 13
+
+
+def test_ellipse_reads_compressor_m_from_config(tmp_path, capsys):
+    out = tmp_path / "ell"
+    cfg = _write_config(tmp_path, {"compressor": {"m": 6}})
+    assert cli.main(["ellipse", "--config", cfg, "--n", "16", "--draws", "3",
+                     "--points", "8", "--seed", "4", "--out", str(out)]) == 0
+    capsys.readouterr()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["compressor"]["m"] == 6

@@ -197,6 +197,9 @@ def test_compressed_fim_errors():
     row = _random_complex(rng, (1, 8))
     with pytest.raises(RankDeficient):
         compressed_fim(g, np.vstack([row, row, row]))
+    # sigma2 is checked with the shapes, before the rank of phi
+    with pytest.raises(BadShape):
+        compressed_fim(g, np.vstack([row, row, row]), sigma2=0.0)
     with pytest.raises(BadShape):
         compressed_fim(g, _random_complex(rng, (2, 8)))
     with pytest.raises(BadShape):
