@@ -40,12 +40,14 @@ formed (in Temme's region the prefactor alone is computed), and the
 density's log slope (a - 1) / x - (b - 1) / (1 - x) gives Halley's
 correction, dropped for a plain Newton step when it would scale the
 step by less than 1/2 or more than 2.  It starts at the normal
-approximation mean + z * sd.  When that point lies outside (0, 1) it
-starts where the tail's leading term, x^a / (a B(a, b)) for the cdf or
-(1 - x)^b / (b B(a, b)) for the upper tail, equals the target, and at
-the mean if that point lies outside (0, 1) too.  It stops when a step
-moves x by at most 1e-15 relative to x or the bracket collapses to
-adjacent doubles.
+approximation mean + z * sd, or where the tail's leading term,
+x^a / (a B(a, b)) for the cdf or (1 - x)^b / (b B(a, b)) for the upper
+tail, equals the target: when the normal start lies outside (0, 1), or
+when the other shape is below 1 and the normal start lies further from
+the tail's edge than that point, which then lies between it and the
+quantile.  It starts at the mean if the chosen point lies outside
+(0, 1) too.  It stops when a step moves x by at most 1e-15 relative to
+x or the bracket collapses to adjacent doubles.
 
 beta_cdf, beta_sf and beta_pdf run a Python float (or a 0-d array) on
 the scalar kernel above and any other array on an array kernel: the
@@ -767,14 +769,20 @@ def _quantile_scalar(law: BetaLaw, k: _Shapes, q: float) -> float:
     target = math.log1p(-q) if upper else math.log(q)
     a, b = law.a, law.b
     x = law.mean + NormalDist().inv_cdf(q) * math.sqrt(law.variance)
-    if not 0.0 < x < 1.0:
-        # the tail's leading term, I_x ~ x^a / (a B(a, b)) near 0 and
-        # 1 - I_x ~ (1 - x)^b / (b B(a, b)) near 1: the mean is a start
-        # hundreds of halvings above a quantile like 1e-137
-        shape = b if upper else a
-        # capped at 0: a point past the support edge cannot overflow
-        ln_end = min(0.0, (target + math.log(shape) + _ln_beta(a, b)) / shape)
-        x = -math.expm1(ln_end) if upper else math.exp(ln_end)
+    # the tail's leading term, I_x ~ x^a / (a B(a, b)) near 0 and
+    # 1 - I_x ~ (1 - x)^b / (b B(a, b)) near 1: the mean is a start
+    # hundreds of halvings above a quantile like 1e-137
+    shape, other = (b, a) if upper else (a, b)
+    # capped at 0: a point past the support edge cannot overflow
+    ln_end = min(0.0, (target + math.log(shape) + _ln_beta(a, b)) / shape)
+    # With the other shape below 1 the leading term bounds the tail from
+    # below (its factor (1 - t)^(b - 1), or t^(a - 1), exceeds 1), so its
+    # point lies past the quantile, seen from the tail's edge, and a normal
+    # start further out moves to it.  Otherwise the normal start stays
+    # unless it lies outside (0, 1)
+    edge_dist, tail_dist = (1.0 - x if upper else x), math.exp(ln_end)
+    if edge_dist <= 0.0 or (other < 1.0 and tail_dist < edge_dist):
+        x = -math.expm1(ln_end) if upper else tail_dist
     if not 0.0 < x < 1.0:
         x = law.mean
     lo, hi = 0.0, 1.0

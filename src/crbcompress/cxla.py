@@ -52,19 +52,28 @@ def as_hermitian(a, name: str = "matrix") -> np.ndarray:
     return hermitian_part(arr)
 
 
-def orthonormal_columns(m, rank_tol: float = RANK_TOL) -> np.ndarray:
-    """Orthonormal basis Q (same shape as ``m``) for the column space.
+def require_full_rank(m: np.ndarray, name: str = "matrix", rank_tol: float = RANK_TOL) -> None:
+    """Raise RankDeficient unless ``m`` has rank min(rows, columns).
 
-    Requires full column rank; raises RankDeficient otherwise.  The rank
-    test compares singular values against ``rank_tol`` times the largest.
+    The test compares the singular values against ``rank_tol`` times the
+    largest.
     """
-    m = as_complex_matrix(m)
     s = np.linalg.svd(m, compute_uv=False)
     if s[0] == 0.0 or s[-1] <= rank_tol * s[0]:
         raise RankDeficient(
-            f"matrix of shape {m.shape} is rank deficient "
+            f"{name} of shape {m.shape} is rank deficient "
             f"(smallest/largest singular value = {s[-1]:.3e}/{s[0]:.3e})"
         )
+
+
+def orthonormal_columns(m, rank_tol: float = RANK_TOL) -> np.ndarray:
+    """Orthonormal basis Q (same shape as ``m``) for the column space.
+
+    Requires full column rank; raises RankDeficient otherwise (see
+    :func:`require_full_rank`).
+    """
+    m = as_complex_matrix(m)
+    require_full_rank(m, rank_tol=rank_tol)
     q, _ = np.linalg.qr(m)
     return q
 

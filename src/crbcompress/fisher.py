@@ -192,9 +192,7 @@ def compressed_kl(x1, x2, C, phi) -> float:
     n = x1.shape[0]
     if phi.shape[1] != n or phi.shape[0] > n:
         raise BadShape(f"phi must be m-by-{n} with m <= {n}, got {phi.shape}")
-    s = np.linalg.svd(phi, compute_uv=False)
-    if s[0] == 0.0 or s[-1] <= cxla.RANK_TOL * s[0]:
-        raise RankDeficient("phi does not have full row rank")
+    cxla.require_full_rank(phi, "phi")
     C = cxla.as_hermitian(C, "C")
     if C.shape[0] != n:
         raise BadShape(f"covariance is {C.shape[0]}x{C.shape[0]}, means have length {n}")

@@ -12,20 +12,26 @@ Per-trial statistics:
   in [0, 1]; predicted law Beta(m, n - m) for scalar noise covariance.
 * ``w_eigenvalues``: ascending spectrum of the whitened compressed
   information matrix.
-* ``w_mean`` / ``fim_mean``: running matrix means of W and of the
-  compressed information matrix.
+* ``w_mean`` / ``fim_mean``: matrix means of W and of the compressed
+  information matrix.
+
+``run`` validates the config, runs one sequential loop over the trial
+kernel ``_Campaign.trial`` and reduces each statistic as its ``_TABLE``
+entry says.  A statistic is one ``_TABLE`` entry and one ``_Trial``
+attribute of its name.
 
 Reproducibility: trial t draws from ``derive_stream(seed, t)`` and
 writes into slot t, so results are byte-identical for a given config
-and seed regardless of thread count or execution order.
+and seed, and a statistic's values do not depend on which others are
+requested.
 """
 
 from __future__ import annotations
 
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -35,7 +41,31 @@ from .errors import BadShape, BadSpec, DomainError, RankDeficient, SingularFim, 
 from .randcomp import CompressorSpec, derive_stream, sample
 from .sigmodel import SignalModel, UlaModel
 
-STATISTICS = ("crb_ratio", "kl_ratio", "w_eigenvalues", "w_mean", "fim_mean")
+
+@dataclass(frozen=True)
+class _Statistic:
+    """How a campaign keeps one statistic, read off each trial as ``_Trial.<name>``.
+
+    A value of ``rank`` 0 or 1 (axes of length p) is a sample, with a KS
+    verdict against ``law(n, m, p)`` if given; a complex p x p value keeps
+    only its mean, as the summary attribute of its name.  ``need`` is the
+    ``_Campaign`` piece its trials read.
+    """
+
+    rank: int
+    need: str
+    law: Callable[[int, int, int], betalaw.BetaLaw] | None = None
+
+
+# Every statistic, in the order a trial computes them and summaries list them
+_TABLE = {
+    "crb_ratio": _Statistic(0, "crb_before", betalaw.crb_ratio_law),
+    "kl_ratio": _Statistic(0, "kl_reference", lambda n, m, p: betalaw.kl_ratio_law(n, m)),
+    "w_eigenvalues": _Statistic(1, "whitener"),
+    "w_mean": _Statistic(2, "whitener"),
+    "fim_mean": _Statistic(2, "information"),
+}
+STATISTICS = tuple(_TABLE)
 
 # One-sample KS critical constants c(alpha); the threshold is c/sqrt(N).
 KS_CRITICAL = {0.01: 1.628, 0.05: 1.358}
@@ -111,6 +141,7 @@ class ExperimentConfig:
     histogram_bins: int = 50
     ks_alpha: float = 0.01
     allow_law_violation: bool = False
+    # only 1 is accepted; kept while the benchmark still passes threads=1
     threads: int = 1
 
 
@@ -147,7 +178,7 @@ def ks_one_sample(samples, cdf: Callable, alpha: float = 0.01) -> KsResult:
         raise TooFewSamples(f"KS test needs at least 100 samples, got {n}")
     f = np.asarray(cdf(x), dtype=np.float64)
     if f.shape != x.shape:
-        f = np.array([float(cdf(v)) for v in x])
+        raise BadShape(f"cdf must return one value per sample, got shape {f.shape} for {x.shape}")
     i = np.arange(1, n + 1, dtype=np.float64)
     d_plus = float(np.max(i / n - f))
     d_minus = float(np.max(f - (i - 1.0) / n))
@@ -215,6 +246,94 @@ def _resolve_jacobian(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray 
     return config.model.jacobian(theta), theta
 
 
+class _Campaign:
+    """What the trials of one campaign share.
+
+    The cached properties are built before the first trial, for the
+    statistics that need them, so their failures fail the run.
+    """
+
+    def __init__(self, config: ExperimentConfig, G: np.ndarray, theta: np.ndarray | None, names: tuple):
+        self.config, self.G, self.theta, self.names = config, G, theta, names
+        self.seed = config.seed if config.seed is not None else config.compressor.seed
+        # every campaign checks G and sigma2 this way, whatever it samples
+        self.info_before = fisher.fim(G, config.sigma2)
+
+    @cached_property
+    def information(self) -> fisher.FimResult:
+        """The uncompressed information, once p < m <= n says the compressed one exists."""
+        (n, p), m = self.G.shape, self.config.compressor.m
+        if not p < m <= n:
+            raise BadSpec(f"information statistics need p < m <= n, got p={p}, m={m}, n={n}")
+        return self.info_before
+
+    @cached_property
+    def crb_before(self) -> float:
+        return fisher.crb(self.information, self.config.crb_index)
+
+    @cached_property
+    def kl_reference(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+        """The two means, the noise covariance and the uncompressed KL divergence."""
+        config = self.config
+        if config.model is None or self.theta is None:
+            raise BadSpec("kl_ratio needs a model (explicit G carries no mean map)")
+        if config.theta_alt is None:
+            raise BadSpec("kl_ratio needs theta_alt")
+        x_ref = config.model.mean(self.theta)
+        x_alt = config.model.mean(np.asarray(config.theta_alt, dtype=np.float64).reshape(-1))
+        noise_cov = config.sigma2 * np.eye(self.G.shape[0], dtype=np.complex128)
+        kl_before = fisher.kl_divergence(x_ref, x_alt, noise_cov)
+        if kl_before <= 0.0:
+            raise DomainError("theta_alt coincides with theta; the KL ratio is undefined")
+        return x_ref, x_alt, noise_cov, kl_before
+
+    @cached_property
+    def whitener(self) -> np.ndarray:
+        return cxla.hermitian_inv_sqrt(self.information.J)
+
+    def trial(self, t: int) -> list:
+        """The trial kernel: trial t's requested values; SingularFim or RankDeficient if degenerate."""
+        trial = _Trial(self, sample(self.config.compressor, derive_stream(self.seed, t)))
+        return [getattr(trial, name) for name in self.names]
+
+
+class _Trial:
+    """One compressor draw; the compressed information and W are computed on first use."""
+
+    def __init__(self, campaign: _Campaign, phi: np.ndarray):
+        self.campaign, self.phi = campaign, phi
+
+    @cached_property
+    def after(self) -> fisher.FimResult:
+        return fisher.compressed_fim(self.campaign.G, self.phi, self.campaign.config.sigma2)
+
+    @cached_property
+    def w(self) -> np.ndarray:
+        whitener = self.campaign.whitener
+        return cxla.hermitian_part(whitener @ self.after.J @ whitener)
+
+    @property
+    def crb_ratio(self) -> float:
+        return self.campaign.crb_before / fisher.crb(self.after, self.campaign.config.crb_index)
+
+    @property
+    def kl_ratio(self) -> float:
+        x_ref, x_alt, noise_cov, kl_before = self.campaign.kl_reference
+        return fisher.compressed_kl(x_ref, x_alt, noise_cov, self.phi) / kl_before
+
+    @property
+    def w_eigenvalues(self) -> np.ndarray:
+        return np.linalg.eigvalsh(self.w)
+
+    @property
+    def w_mean(self) -> np.ndarray:
+        return self.w
+
+    @property
+    def fim_mean(self) -> np.ndarray:
+        return self.after.J
+
+
 def run(config: ExperimentConfig) -> ExperimentSummary:
     """Execute a campaign and aggregate its statistics.
 
@@ -224,18 +343,19 @@ def run(config: ExperimentConfig) -> ExperimentSummary:
     with SingularFim if they exceed MAX_EXCLUDED_FRACTION of the total.
     """
     t0 = time.perf_counter()
-    stats_requested = tuple(config.statistics)
-    if len(stats_requested) == 0:
+    requested = tuple(config.statistics)
+    if len(requested) == 0:
         raise BadSpec("at least one statistic must be requested")
-    unknown = [s for s in stats_requested if s not in STATISTICS]
+    unknown = [s for s in requested if s not in _TABLE]
     if unknown:
         raise BadSpec(f"unknown statistics {unknown}; choose from {STATISTICS}")
-    if len(set(stats_requested)) != len(stats_requested):
-        raise BadSpec(f"duplicate statistics in {stats_requested}")
+    if len(set(requested)) != len(requested):
+        raise BadSpec(f"duplicate statistics in {requested}")
     if not (isinstance(config.trials, int) and config.trials >= 1):
         raise BadSpec(f"trials must be a positive int, got {config.trials!r}")
-    if not (isinstance(config.threads, int) and config.threads >= 1):
-        raise BadSpec(f"threads must be a positive int, got {config.threads!r}")
+    # the field goes with the next benchmark change, which stops passing threads=1
+    if not (isinstance(config.threads, int) and config.threads == 1):
+        raise BadSpec(f"threads must be 1 (campaigns run on one thread), got {config.threads!r}")
 
     spec = config.compressor
     G, theta = _resolve_jacobian(config)
@@ -243,11 +363,6 @@ def run(config: ExperimentConfig) -> ExperimentSummary:
     m = spec.m
     if spec.n != n:
         raise BadSpec(f"compressor ambient dimension {spec.n} does not match model n={n}")
-
-    needs_fim = any(s in stats_requested for s in ("crb_ratio", "w_eigenvalues", "w_mean", "fim_mean"))
-    needs_w = any(s in stats_requested for s in ("w_eigenvalues", "w_mean"))
-    needs_kl = "kl_ratio" in stats_requested
-
     law_ok = p < m <= n - p
     if not law_ok:
         message = f"law validity needs p < m <= n - p, got p={p}, m={m}, n={n}"
@@ -255,73 +370,28 @@ def run(config: ExperimentConfig) -> ExperimentSummary:
             warnings.warn(message + "; analytic reference laws are disabled", stacklevel=2)
         else:
             raise BadSpec(message + "; set allow_law_violation=True to run anyway")
-    if needs_fim and not p < m <= n:
-        raise BadSpec(f"information statistics need p < m <= n, got p={p}, m={m}, n={n}")
 
-    info_before = fisher.fim(G, config.sigma2)
-    crb_before = None
-    if "crb_ratio" in stats_requested:
-        crb_before = fisher.crb(info_before, config.crb_index)
-    whitener = None
-    if needs_w:
-        whitener = cxla.hermitian_inv_sqrt(info_before.J)
-
-    x_ref = x_alt = None
-    kl_before = None
-    noise_cov = None
-    if needs_kl:
-        if config.model is None or theta is None:
-            raise BadSpec("kl_ratio needs a model (explicit G carries no mean map)")
-        if config.theta_alt is None:
-            raise BadSpec("kl_ratio needs theta_alt")
-        x_ref = config.model.mean(theta)
-        x_alt = config.model.mean(np.asarray(config.theta_alt, dtype=np.float64).reshape(-1))
-        noise_cov = config.sigma2 * np.eye(n, dtype=np.complex128)
-        kl_before = fisher.kl_divergence(x_ref, x_alt, noise_cov)
-        if kl_before <= 0.0:
-            raise DomainError("theta_alt coincides with theta; the KL ratio is undefined")
+    names = tuple(name for name in _TABLE if name in requested)
+    campaign = _Campaign(config, G, theta, names)
+    for name in names:  # build the shared pieces before any trial
+        getattr(campaign, _TABLE[name].need)
 
     trials = config.trials
-    ratio_samples = np.full(trials, np.nan) if "crb_ratio" in stats_requested else None
-    kl_samples = np.full(trials, np.nan) if needs_kl else None
-    eig_samples = np.full((trials, p), np.nan) if "w_eigenvalues" in stats_requested else None
-    w_mats = np.full((trials, p, p), np.nan, dtype=np.complex128) if "w_mean" in stats_requested else None
-    fim_mats = np.full((trials, p, p), np.nan, dtype=np.complex128) if "fim_mean" in stats_requested else None
-    # 0 for a kept trial, else its cause code; each trial writes its own
-    # slot, so the codes do not depend on the thread count
+    values = {
+        name: np.full((trials,) + (p,) * _TABLE[name].rank, np.nan,
+                      dtype=np.complex128 if _TABLE[name].rank == 2 else np.float64)
+        for name in names
+    }
+    # 0 for a kept trial, else its cause code
     cause = np.zeros(trials, dtype=np.int8)
-
-    seed = config.seed if config.seed is not None else spec.seed
-
-    def one_trial(t: int) -> None:
-        rng = derive_stream(seed, t)
-        phi = sample(spec, rng)
+    for t in range(trials):
         try:
-            if needs_fim:
-                after = fisher.compressed_fim(G, phi, config.sigma2)
-                if ratio_samples is not None:
-                    ratio_samples[t] = crb_before / fisher.crb(after, config.crb_index)
-                if needs_w:
-                    w = cxla.hermitian_part(whitener @ after.J @ whitener)
-                    if eig_samples is not None:
-                        eig_samples[t] = np.linalg.eigvalsh(w)
-                    if w_mats is not None:
-                        w_mats[t] = w
-                if fim_mats is not None:
-                    fim_mats[t] = after.J
-            if kl_samples is not None:
-                kl_samples[t] = fisher.compressed_kl(x_ref, x_alt, noise_cov, phi) / kl_before
+            for name, value in zip(names, campaign.trial(t)):
+                values[name][t] = value
         except SingularFim:
             cause[t] = 1
         except RankDeficient:
             cause[t] = 2
-
-    if config.threads == 1:
-        for t in range(trials):
-            one_trial(t)
-    else:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            list(pool.map(one_trial, range(trials)))
 
     by_cause = {name: int(np.count_nonzero(cause == code)) for code, name in enumerate(EXCLUSION_CAUSES, 1)}
     excluded_count = sum(by_cause.values())
@@ -332,44 +402,23 @@ def run(config: ExperimentConfig) -> ExperimentSummary:
         )
     keep = cause == 0
     kept_index = np.nonzero(keep)[0]
-
-    samples: dict = {}
-    if ratio_samples is not None:
-        samples["crb_ratio"] = ratio_samples[keep]
-    if kl_samples is not None:
-        samples["kl_ratio"] = kl_samples[keep]
-    if eig_samples is not None:
-        samples["w_eigenvalues"] = eig_samples[keep]
-
-    summary = ExperimentSummary(
-        n=n,
-        m=m,
-        p=p,
-        trials=trials,
-        excluded_trials=excluded_count,
-        trial_index=kept_index,
-        excluded_by_cause=by_cause,
-        samples=samples,
-        config=config,
-    )
-    if w_mats is not None:
-        summary.w_mean = w_mats[keep].mean(axis=0)
-    if fim_mats is not None:
-        summary.fim_mean = fim_mats[keep].mean(axis=0)
-
+    summary = ExperimentSummary(n=n, m=m, p=p, trials=trials, excluded_trials=excluded_count,
+                                trial_index=kept_index, excluded_by_cause=by_cause, config=config)
     kept = int(kept_index.shape[0])
-    for name, values in samples.items():
-        flat = values.ravel()
+    for name in names:
+        stat = _TABLE[name]
+        kept_values = values[name][keep]
+        if stat.rank == 2:
+            setattr(summary, name, kept_values.mean(axis=0))
+            continue
+        summary.samples[name] = kept_values
+        flat = kept_values.ravel()
         mean = float(np.mean(flat))
         variance = float(np.var(flat, ddof=1)) if flat.size > 1 else 0.0
         ks = None
-        if kept >= 100 and law_ok:
-            if name == "crb_ratio":
-                law = betalaw.crb_ratio_law(n, m, p)
-                ks = ks_one_sample(flat, lambda x: betalaw.beta_cdf(law, x), config.ks_alpha)
-            elif name == "kl_ratio":
-                law = betalaw.kl_ratio_law(n, m)
-                ks = ks_one_sample(flat, lambda x: betalaw.beta_cdf(law, x), config.ks_alpha)
+        if stat.law is not None and kept >= 100 and law_ok:
+            law = stat.law(n, m, p)
+            ks = ks_one_sample(flat, lambda x: betalaw.beta_cdf(law, x), config.ks_alpha)
         summary.stats[name] = StatSummary(mean=mean, variance=variance, ks=ks)
         summary.histograms[name] = histogram(flat, bins=config.histogram_bins)
 

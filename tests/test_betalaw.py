@@ -182,6 +182,17 @@ def test_beta_quantile_far_below_the_mean_of_small_first_shapes():
         np.testing.assert_allclose(beta_quantile(BetaLaw(a, b), q), ref, rtol=1e-10, err_msg=f"{a}, {b}, {q}")
 
 
+def test_beta_quantile_starts_at_the_tail_term_inside_the_unit_interval():
+    # the normal start of Beta(0.001, 0.001), 0.16-0.37 here, lies inside
+    # (0, 1) but hundreds of decades above quantiles like 1e-222; the
+    # tail term's point lies between them.  The last case is the upper
+    # tail's mirror (normal start 0.14, tail-term point 0.99)
+    for a, b, q in [(0.001, 0.001, 0.25), (0.001, 0.001, 0.3), (0.001, 0.001, 0.4),
+                    (0.0005, 0.2, 0.999)]:
+        ref = scipy.special.betaincinv(a, b, q)
+        np.testing.assert_allclose(beta_quantile(BetaLaw(a, b), q), ref, rtol=1e-10, err_msg=f"{a}, {b}, {q}")
+
+
 def test_beta_quantile_below_the_smallest_double_is_zero():
     # I_x ~ x^a / (a B(a, b)) puts these quantiles near 1e-699, 1e-398
     # and 1e-30000; the cdf at the smallest positive double already

@@ -7,13 +7,14 @@ import scipy.stats
 from crbcompress.betalaw import BetaLaw, beta_cdf, beta_pdf, beta_quantile, crb_ratio_law
 from crbcompress.errors import BadShape, BadSpec, DomainError, RankDeficient, SingularFim, TooFewSamples
 from crbcompress.mcharness import (
+    STATISTICS,
     ExperimentConfig,
     histogram,
     ks_one_sample,
     ks_two_sample,
     run,
 )
-from crbcompress.randcomp import CompressorSpec, derive_stream, sample
+from crbcompress.randcomp import FAMILIES, CompressorSpec, derive_stream, sample
 from crbcompress.sigmodel import UlaModel, two_source_half_rayleigh
 
 
@@ -57,6 +58,11 @@ def test_ks_one_sample_validation():
         ks_one_sample(np.linspace(0.1, 0.9, 99), lambda x: x)
     with pytest.raises(DomainError):
         ks_one_sample(np.linspace(0.01, 0.99, 200), lambda x: x, alpha=0.1)
+
+
+def test_ks_one_sample_needs_one_cdf_value_per_sample():
+    with pytest.raises(BadShape):
+        ks_one_sample(np.linspace(0.01, 0.99, 200), lambda x: 0.5)
 
 
 def test_ks_two_sample_matches_scipy():
@@ -125,13 +131,10 @@ def test_run_identity_compression_keeps_the_bound():
     assert summary.stats["crb_ratio"].ks is None
 
 
-def test_run_is_reproducible_across_reruns_and_threads():
-    base = _doa_config(16, 6, 300, seed=11)
-    first = run(base)
+def test_run_is_reproducible_across_reruns():
+    first = run(_doa_config(16, 6, 300, seed=11))
     again = run(_doa_config(16, 6, 300, seed=11))
     np.testing.assert_array_equal(first.samples["crb_ratio"], again.samples["crb_ratio"])
-    threaded = run(_doa_config(16, 6, 300, seed=11, threads=4))
-    np.testing.assert_array_equal(first.samples["crb_ratio"], threaded.samples["crb_ratio"])
     other = run(_doa_config(16, 6, 300, seed=12))
     assert not np.array_equal(first.samples["crb_ratio"], other.samples["crb_ratio"])
 
@@ -160,6 +163,8 @@ def test_run_validation():
         run(_doa_config(16, 6, 0))
     with pytest.raises(BadSpec):
         run(_doa_config(16, 6, 100, threads=0))
+    with pytest.raises(BadSpec):
+        run(_doa_config(16, 6, 100, threads=4))
     with pytest.raises(BadSpec):
         run(_doa_config(16, 15, 100))  # m > n - p without the override
     with pytest.raises(BadSpec):
@@ -195,8 +200,7 @@ def test_run_counts_and_excludes_degenerate_trials(monkeypatch):
 
     real = mc.fisher.compressed_fim
     config = _doa_config(16, 6, 2000, seed=3)
-    # one trial of each cause, recognized by its compressor so that the
-    # injection does not depend on the order threads run the trials in
+    # one trial of each cause, recognized by its compressor
     injected = {
         7: (sample(config.compressor, derive_stream(3, 7)), SingularFim),
         1234: (sample(config.compressor, derive_stream(3, 1234)), RankDeficient),
@@ -209,14 +213,12 @@ def test_run_counts_and_excludes_degenerate_trials(monkeypatch):
         return real(G, phi, sigma2)
 
     monkeypatch.setattr(mc.fisher, "compressed_fim", flaky)
-    for threads in (1, 2):
-        config.threads = threads
-        summary = run(config)
-        assert summary.excluded_trials == 2
-        assert summary.excluded_by_cause == {"SingularFim": 1, "RankDeficient": 1}
-        assert summary.samples["crb_ratio"].shape == (1998,)
-        assert not set(injected) & set(summary.trial_index.tolist())
-        assert summary.stats["crb_ratio"].ks is not None
+    summary = run(config)
+    assert summary.excluded_trials == 2
+    assert summary.excluded_by_cause == {"SingularFim": 1, "RankDeficient": 1}
+    assert summary.samples["crb_ratio"].shape == (1998,)
+    assert not set(injected) & set(summary.trial_index.tolist())
+    assert summary.stats["crb_ratio"].ks is not None
 
 
 def test_run_fails_when_too_many_trials_are_degenerate(monkeypatch):
@@ -303,3 +305,23 @@ def test_run_skips_ks_for_small_campaigns():
     summary = run(_doa_config(16, 6, 60, seed=15))
     assert summary.stats["crb_ratio"].ks is None
     assert summary.histograms["crb_ratio"].total == 60
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_each_statistic_is_the_same_alone_or_with_all_the_others(family):
+    model = UlaModel(two_source_half_rayleigh(16))
+
+    def campaign(statistics):
+        return run(_doa_config(16, 6, 40, family=family, seed=17, statistics=statistics,
+                               theta_alt=model.reference_theta + np.array([0.011, -0.017])))
+
+    together = campaign(STATISTICS)
+    for name in STATISTICS:
+        alone = campaign((name,))
+        np.testing.assert_array_equal(alone.trial_index, together.trial_index)
+        if name in ("w_mean", "fim_mean"):
+            np.testing.assert_array_equal(getattr(alone, name), getattr(together, name))
+            assert alone.samples == {}
+        else:
+            np.testing.assert_array_equal(alone.samples[name], together.samples[name])
+            assert list(alone.samples) == [name]
