@@ -32,22 +32,30 @@ the remainder too (algdiv).  Each region computes its tail directly, so
 both tails keep their relative precision: beta_cdf is the lower one,
 beta_sf the upper.  For integer shapes I_x(a, b) is a binomial tail,
 P[Binomial(a + b - 1, x) >= a], which the planner uses to search
-measurement counts.  The quantile is a bracketed Halley iteration on
-the log of the tail holding q (the cdf below the median, the upper tail
-above it).  Each step evaluates that tail once: the density is
-exp(ln prefactor - ln x - ln(1 - x)) from the prefactor the tail already
-formed (in Temme's region the prefactor alone is computed), and the
+measurement counts; beta_tails_pdf gives both tails and the density at
+one point from one evaluation, the density from the tail's prefactor
+(in Temme's region the prefactor alone is formed), which is what each
+exact planning value needs.  The quantile is a bracketed Halley
+iteration on the log of the tail holding q (the cdf below the median,
+the upper tail above it).  Each step makes that one evaluation, and the
 density's log slope (a - 1) / x - (b - 1) / (1 - x) gives Halley's
 correction, dropped for a plain Newton step when it would scale the
-step by less than 1/2 or more than 2.  It starts at the normal
-approximation mean + z * sd, or where the tail's leading term,
-x^a / (a B(a, b)) for the cdf or (1 - x)^b / (b B(a, b)) for the upper
-tail, equals the target: when the normal start lies outside (0, 1), or
-when the other shape is below 1 and the normal start lies further from
-the tail's edge than that point, which then lies between it and the
+step by less than 1/2 or more than 2; a density past the range of
+doubles (near 0 for a first shape below 1) is inf and takes no step.
+It starts at the normal approximation mean + z * sd, with the
+Cornish-Fisher skewness and kurtosis terms added to z when both shapes
+are at least 50, or where the tail's leading term, x^a / (a B(a, b))
+for the cdf or (1 - x)^b / (b B(a, b)) for the upper tail, equals the
+target: when the normal start lies outside (0, 1), or when the other
+shape is below 1 and the normal start lies further from the tail's edge
+than that point, which then lies between it and the quantile.  For a
+first shape below 1 the lower tail's point (q a B(a, b))^(1/a) replaces
+a start above it, on either side of the median, unless b > 1 and the
+factor (1 - x)^(b - 1) the term omits puts it too far below the
 quantile.  It starts at the mean if the chosen point lies outside
-(0, 1) too.  It stops when a step moves x by at most 1e-15 relative to
-x or the bracket collapses to adjacent doubles.
+(0, 1) too.  A step that leaves the bracket halves it, geometrically
+when it spans more than a decade.  It stops when a step moves x by at
+most 1e-15 relative to x or the bracket collapses to adjacent doubles.
 
 beta_cdf, beta_sf and beta_pdf run a Python float (or a 0-d array) on
 the scalar kernel above and any other array on an array kernel: the
@@ -67,8 +75,11 @@ points.  Each step still costs a few numpy calls, so a one-point array
 costs 5 to 30 times a call on the scalar kernel; that is why 0-d input
 stays scalar, and with it every planner and quantile call.  What
 depends only on the law (ln B(a, b) or bcorr, the x0/y0 term of the
-prefactor, Temme's series) is computed once per call and shared by
-every point of it; nothing is kept across calls.
+prefactor, Temme's coefficients) is computed once per call and shared by
+every point of it.  The one thing kept across calls is the table those
+coefficients come from: Temme's d_i are polynomials in the shape ratio
+h, built once per process on first use and evaluated for a law, all
+d_1..d_21 at once, by one matrix product; it depends on no law.
 
 Convention for eigenvalue densities: symmetric in the arguments, so the
 value integrates to p! over the unit cube, or equivalently to 1 over
@@ -78,9 +89,9 @@ p! to renormalize to the symmetric (unordered) probability density.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from operator import mul
 from statistics import NormalDist
 
 import numpy as np
@@ -111,6 +122,11 @@ _E1 = 2.0**-1.5
 _SPLIT = 134217729.0
 
 _QUANTILE_MAX_ITER = 200
+# Both shapes at least this large add the Cornish-Fisher skewness and
+# kurtosis terms to the quantile's normal start.
+_CORNISH_FISHER_MIN_SHAPE = 50.0
+# A quantile bracket with hi > _DECADE * lo > 0 is halved in log x.
+_DECADE = 10.0
 # Newton steps this small relative to x end the quantile iteration.
 _QUANTILE_XTOL = 1e-15
 
@@ -203,17 +219,27 @@ def _rlog1(x: float) -> float:
 
 
 def _rlog1_array(x: np.ndarray) -> np.ndarray:
-    """_rlog1 at every point of x > -1."""
+    """_rlog1 at every point of x > -1.
+
+    Where every point lies in the middle branch, |x| <= 0.18, only that
+    branch is evaluated; Temme's f always takes it, since |x| <= 0.03.
+    """
     left = x < -0.18
     right = x > 0.18
-    h = np.where(left, (x + 0.3) / 0.7, np.where(right, 0.75 * x - 0.25, x))
-    w1 = np.where(left, 0.0566749439387324 - 0.3 * h, np.where(right, 0.0456512608815524 + h / 3.0, 0.0))
+    middle = not (left.any() or right.any())
+    if middle:
+        h, w1 = x, 0.0
+    else:
+        h = np.where(left, (x + 0.3) / 0.7, np.where(right, 0.75 * x - 0.25, x))
+        w1 = np.where(left, 0.0566749439387324 - 0.3 * h, np.where(right, 0.0456512608815524 + h / 3.0, 0.0))
     r = h / (h + 2.0)
     t = r * r
     w = ((0.00620886815375787 * t - 0.224696413112536) * t + 0.333333333333333) / (
         (0.354508718369557 * t - 1.27408923933623) * t + 1.0
     )
     near = 2.0 * t * (1.0 / (1.0 - r) - r * w) + w1
+    if middle:
+        return near
     return np.where((x < -0.39) | (x > 0.57), x - np.log1p(x), near)
 
 
@@ -304,65 +330,69 @@ def _lambda(a: float, b: float, x):
     return a - hi - (lo + s_err * x)
 
 
-class _TemmeSeries:
-    """Coefficients d_i of Temme's series for Beta(a, b), built on demand.
+# Temme's series carries d_1.._BASYM_TERMS; _basym adds them in pairs.
+_BASYM_TERMS = _BASYM_MAX_TERMS + 1
+_TEMME_POWERS = np.arange(_BASYM_TERMS + 1, dtype=np.float64)
 
-    TOMS 708 basym gets them from the power series A(t) = 1 + sum a0_j t^j,
-    where (1 + h) t^2 A(t) / 2 = -ln(1 - t) - ln(1 + h t) / h and h is the
-    shape ratio min / max (t -> -t when a > b): c_i = [t^i] A^(-(i+1)/2)
-    / (i + 1) by J. C. P. Miller's power recurrence, O(i^2) per i, and
+
+@functools.cache
+def _temme_table() -> np.ndarray:
+    """Coefficients of Temme's d_i as polynomials in the shape ratio h.
+
+    TOMS 708 basym gets d_i for Beta(a, b) from the power series
+    A(t) = 1 + sum a0_j t^j, where (1 + h) t^2 A(t) / 2 =
+    -ln(1 - t) - ln(1 + h t) / h and h is the shape ratio min / max
+    (t -> -t when a > b): c_i = [t^i] A^(-(i+1)/2) / (i + 1) and
     1 + sum d_i w^i = 1 / (1 + sum c_i w^i).  By Lagrange inversion c_i
     is the coefficient of w^(i+1) in the inverse T(w) of t sqrt(A(t)),
-    which solves T T' = w (1 - r1 T - h T^2); that gives each c_i, and
-    then d_i, in O(i).  The _Shapes of a call holds one per orientation,
-    and add_term() runs only when a point needs a term no earlier point
-    did.
+    which solves T T' = w (1 - r1 T - h T^2) with r1 = 1 - h for a < b.
+    Run on coefficient arrays in h, that recurrence gives each d_i as a
+    polynomial of degree i.  For a >= b, r1 = -(1 - h), and -T(-w)
+    solves the equation with -r1, so d_i takes the factor (-1)^i.
+    Returns the (2, _BASYM_TERMS, _BASYM_TERMS + 1) array: row [0, i - 1]
+    holds the power coefficients of d_i for a < b, row [1, i - 1] for
+    a >= b.  It depends on no law, so it is built once.
     """
+    size = _BASYM_TERMS + 1
+    # the polynomials 1 and h
+    one, h = np.eye(size)[:2]
+    r1 = one - h
 
-    def __init__(self, a: float, b: float):
-        if a < b:
-            self.h = a / b
-            self.r1 = (b - a) / b
-            self.w0 = 1.0 / math.sqrt(a * (self.h + 1.0))
-        else:
-            self.h = b / a
-            self.r1 = (b - a) / a
-            self.w0 = 1.0 / math.sqrt(b * (self.h + 1.0))
-        # t[k-1] = [w^k] T(w); d[i-1] = d_i
-        self.t = [1.0]
-        self.d: list[float] = []
-        self.add_term()
+    def mul(u, v):
+        return np.convolve(u, v)[:size]
 
-    def add_term(self) -> None:
-        t, d = self.t, self.d
-        n = len(t)
+    def dot(us, vs):
+        return sum((mul(u, v) for u, v in zip(us, vs)), np.zeros(size))
+
+    # t[k - 1] = [w^k] T(w); d[i - 1] = d_i
+    t = [one]
+    d: list[np.ndarray] = []
+    for n in range(1, _BASYM_TERMS + 1):
         # [w^(n+1)] of T T' = w (1 - r1 T - h T^2), solved for t_{n+1}
-        tt = sum(map(mul, t, t[-2::-1]))
-        inner = sum(map(mul, t[1:], t[:0:-1]))
-        t.append((-self.r1 * t[-1] - self.h * tt) / (n + 2.0) - 0.5 * inner)
+        tt = dot(t, t[-2::-1])
+        inner = dot(t[1:], t[:0:-1])
+        t.append((-mul(r1, t[-1]) - mul(h, tt)) / (n + 2.0) - 0.5 * inner)
         # [w^n] of (w / T) (T / w) = 1
-        d.append(-(t[n] + sum(map(mul, d, t[n - 1 : 0 : -1]))))
-
-    def at(self, i: int) -> float:
-        """d[i], that is d_(i+1), adding terms as needed."""
-        while len(self.d) <= i:
-            self.add_term()
-        return self.d[i]
+        d.append(-(t[n] + dot(d, t[n - 1 : 0 : -1])))
+    table = np.array(d)
+    signs = (-1.0) ** np.arange(1, _BASYM_TERMS + 1)
+    return np.stack([table, signs[:, None] * table])
 
 
 class _Shapes:
     """What the kernels need of Beta(a, b) that does not depend on x.
 
-    One instance serves every point of one beta_cdf, beta_sf, beta_pdf or
-    beta_quantile call, on the scalar and the array kernel alike, and
-    goes with the call: nothing is kept across calls.  It holds ln B(a, b)
-    when min(a, b) < 8; otherwise the Stirling remainder bcorr(a, b), the
-    mean x0 = a / (a + b), its complement y0 and the term
-    ln sqrt(b x0 / 2 pi) of the prefactor; and Temme's series for each
-    orientation, built when a point first needs it.
+    One instance serves every point of one beta_cdf, beta_sf, beta_pdf,
+    beta_tails_pdf or beta_quantile call, on the scalar and the array
+    kernel alike, and goes with the call.  It holds ln B(a, b) when
+    min(a, b) < 8; otherwise the Stirling remainder bcorr(a, b), the mean
+    x0 = a / (a + b), its complement y0 and the term ln sqrt(b x0 / 2 pi)
+    of the prefactor; and in Temme's region the shape ratio h, the
+    series variable w0 and, once a point needs them, the coefficients
+    d_i of both orientations.
     """
 
-    __slots__ = ("a", "b", "split", "lam_max", "ln_beta", "bcorr", "x0", "y0", "ln_root", "_series")
+    __slots__ = ("a", "b", "split", "lam_max", "ln_beta", "bcorr", "x0", "y0", "ln_root", "h", "w0", "_temme")
 
     def __init__(self, law: BetaLaw):
         a, b = law.a, law.b
@@ -372,8 +402,7 @@ class _Shapes:
         # |lambda| <= lam_max selects Temme's expansion; -1 selects nothing
         big = a > _BASYM_MIN_SHAPE and b > _BASYM_MIN_SHAPE
         self.lam_max = _BASYM_LAMBDA_FRAC * min(a, b) if big else -1.0
-        self._series: list[_TemmeSeries | None] = [None, None]
-        self.ln_beta = self.bcorr = self.x0 = self.y0 = self.ln_root = None
+        self.ln_beta = self.bcorr = self.x0 = self.y0 = self.ln_root = self.h = self.w0 = self._temme = None
         if min(a, b) < 8.0:
             self.ln_beta = _ln_beta(a, b)
             return
@@ -387,16 +416,16 @@ class _Shapes:
             self.y0 = 1.0 / (h + 1.0)
         self.ln_root = 0.5 * math.log(b * self.x0 / (2.0 * math.pi))
         self.bcorr = _bcorr(a, b)
+        if big:
+            self.h = h
+            self.w0 = 1.0 / math.sqrt(min(a, b) * (h + 1.0))
 
-    def series(self, mirrored: bool) -> _TemmeSeries:
-        """Temme's series for Beta(a, b), or for Beta(b, a) when ``mirrored``."""
-        side = int(mirrored)
-        series = self._series[side]
-        if series is None:
-            series = self._series[side] = (
-                _TemmeSeries(self.b, self.a) if mirrored else _TemmeSeries(self.a, self.b)
-            )
-        return series
+    def temme(self) -> np.ndarray:
+        """d_1.._BASYM_TERMS of Temme's series: row 0 for Beta(a, b), row 1 for Beta(b, a)."""
+        if self._temme is None:
+            d = _temme_table() @ self.h**_TEMME_POWERS
+            self._temme = d if self.a < self.b else d[::-1]
+        return self._temme
 
 
 def _ln_prefactor(k: _Shapes, x: float, y: float, lam: float) -> float:
@@ -437,19 +466,18 @@ def _basym(k: _Shapes, lam: float) -> float:
     I_x(a, b) when lam = a - (a + b) x >= 0, else the upper tail, which
     is the lower tail of Beta(b, a) at 1 - x.  Temme's uniform expansion:
     exp(-f) times an erfc leading term and a series in powers of
-    1/sqrt(min(a, b)) with coefficients from ``k.series``, where
-    f = a rlog1(-lam / a) + b rlog1(lam / b) is the same in both
-    orientations.  Each pass adds two terms and the loop stops once they
-    fall below _BASYM_EPS of the sum.
+    w0 = 1/sqrt(min(a, b) (1 + h)) with the coefficients ``k.temme()``
+    of the orientation, where f = a rlog1(-lam / a) + b rlog1(lam / b) is
+    the same in both.  Each pass adds two terms and the loop stops once
+    they fall below _BASYM_EPS of the sum.
     """
     a, b = k.a, k.b
-    series = k.series(lam < 0.0)
+    d = k.temme()[int(lam < 0.0)].tolist()
     f = a * _rlog1(-lam / a) + b * _rlog1(lam / b)
     t = math.exp(-f)
     z0 = math.sqrt(f)
     z2 = f + f
-    w0 = series.w0
-    d = series.d
+    w0 = k.w0
     # j0 = exp(z0^2) erfc(z0) / (2 e0) and the other terms carry the
     # factor t = exp(-f); with z0^2 - f formed exactly, t j0 keeps full
     # precision even where erfc(z0) is far below exp(-f) alone
@@ -461,8 +489,6 @@ def _basym(k: _Shapes, lam: float) -> float:
     znm1 = z0 * math.sqrt(2.0) * t
     zn = z2 * t
     for n in range(2, _BASYM_MAX_TERMS + 1, 2):
-        while len(d) <= n:
-            series.add_term()
         j0 = _E1 * znm1 + (n - 1.0) * j0
         j1 = _E1 * zn + n * j1
         znm1 *= z2
@@ -481,28 +507,22 @@ def _basym_array(k: _Shapes, lam: np.ndarray) -> np.ndarray:
     """_basym at every point of lam: both orientations in one loop.
 
     Only the coefficients d_i differ between the orientations, so each
-    point takes its own from the series of its side; a point's sum stops
-    growing once its terms fall below _BASYM_EPS of it.
+    point takes the column of its side; a point's sum stops growing once
+    its terms fall below _BASYM_EPS of it.
     """
     a, b = k.a, k.b
-    mirrored = lam < 0.0
-    sides = [k.series(m) for m in (False, True) if (mirrored == m).any()]
-
-    def d(i):
-        if len(sides) == 1:
-            return sides[0].at(i)
-        return np.where(mirrored, sides[1].at(i), sides[0].at(i))
-
+    # d[i - 1] holds d_i at every point
+    d = k.temme()[(lam < 0.0).astype(np.intp)].T
     f = a * _rlog1_array(-lam / a) + b * _rlog1_array(lam / b)
     t = np.exp(-f)
     z0 = np.sqrt(f)
     z2 = f + f
-    w0 = sides[0].w0
+    w0 = k.w0
     hi, lo = _two_product(z0, z0)
     erfc = np.fromiter(map(math.erfc, z0.tolist()), np.float64, z0.size)
     j0 = 0.5 / _E0 * erfc * np.exp((hi - f) + lo)
     j1 = _E1 * t
-    total = j0 + d(0) * w0 * j1
+    total = j0 + d[0] * w0 * j1
     w = w0
     znm1 = z0 * math.sqrt(2.0) * t
     zn = z2 * t
@@ -513,9 +533,9 @@ def _basym_array(k: _Shapes, lam: np.ndarray) -> np.ndarray:
         znm1 = znm1 * z2
         zn = zn * z2
         w *= w0
-        t0 = d(n - 1) * w * j0
+        t0 = d[n - 1] * w * j0
         w *= w0
-        t1 = d(n) * w * j1
+        t1 = d[n] * w * j1
         total = np.where(live, total + (t0 + t1), total)
         live &= np.abs(t0) + np.abs(t1) > _BASYM_EPS * total
         if not live.any():
@@ -655,7 +675,11 @@ def _pdf_at_zero(a: float, b: float) -> float:
     return b if a == 1.0 else math.inf
 
 
-def _pdf_scalar(k: _Shapes, x: float) -> float:
+def _pdf_scalar(k: _Shapes, x: float, ln_bt: float | None = None) -> float:
+    """The density at x in [0, 1]; ``ln_bt`` is the log prefactor at x when a tail formed it.
+
+    Past the range of exp, as near 0 for a first shape below 1, it is inf.
+    """
     a, b = k.a, k.b
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"pdf argument must lie in [0, 1], got {x}")
@@ -663,9 +687,12 @@ def _pdf_scalar(k: _Shapes, x: float) -> float:
         return _pdf_at_zero(a, b)
     if x == 1.0:
         return _pdf_at_zero(b, a)
-    y = 1.0 - x
-    ln_p = _ln_prefactor(k, x, y, _lambda(a, b, x))
-    return math.exp(ln_p - math.log(x) - math.log1p(-x))
+    if ln_bt is None:
+        ln_bt = _ln_prefactor(k, x, 1.0 - x, _lambda(a, b, x))
+    try:
+        return math.exp(ln_bt - math.log(x) - math.log1p(-x))
+    except OverflowError:
+        return math.inf
 
 
 def _pdf_array(k: _Shapes, x: np.ndarray) -> np.ndarray:
@@ -689,9 +716,9 @@ def _tails(k: _Shapes, x: float) -> tuple[float, float, float | None]:
     x^a (1 - x)^b / B(a, b) times the continued fraction gives the tail
     on the side of (a + 1) / (a + b + 2) where the fraction converges
     fast: the smaller one, or at most ~0.9 for shapes below 1.  The
-    third value is the log of that prefactor, which the quantile reuses
-    for the density; it is None where the prefactor was not formed (x at
-    0 or 1, and Temme's region).
+    third value is the log of that prefactor, which _point reuses for
+    the density; it is None where the prefactor was not formed (x at 0
+    or 1, and Temme's region).
     """
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"cdf argument must lie in [0, 1], got {x}")
@@ -759,6 +786,16 @@ def _tails_array(k: _Shapes, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lower, upper
 
 
+def _point(k: _Shapes, x: float) -> tuple[float, float, float]:
+    """(I_x(a, b), 1 - I_x(a, b), density) at x in [0, 1], sharing one prefactor.
+
+    The density takes the prefactor the tail formed; in Temme's region
+    it forms the prefactor alone.
+    """
+    lower, upper, ln_bt = _tails(k, x)
+    return lower, upper, _pdf_scalar(k, x, ln_bt)
+
+
 def _quantile_scalar(law: BetaLaw, k: _Shapes, q: float) -> float:
     if not 0.0 < q < 1.0:
         raise DomainError(f"quantile argument must lie in (0, 1), got {q}")
@@ -768,27 +805,54 @@ def _quantile_scalar(law: BetaLaw, k: _Shapes, q: float) -> float:
     upper = q > 0.5
     target = math.log1p(-q) if upper else math.log(q)
     a, b = law.a, law.b
-    x = law.mean + NormalDist().inv_cdf(q) * math.sqrt(law.variance)
+    z = NormalDist().inv_cdf(q)
+    if min(a, b) >= _CORNISH_FISHER_MIN_SHAPE:
+        # Cornish-Fisher: the skewness and excess kurtosis terms, small
+        # corrections only where both shapes are large
+        s = a + b
+        skew = 2.0 * (b - a) * math.sqrt(s + 1.0) / ((s + 2.0) * math.sqrt(a * b))
+        kurt = 6.0 * ((a - b) ** 2 * (s + 1.0) - a * b * (s + 2.0)) / (a * b * (s + 2.0) * (s + 3.0))
+        z2 = z * z
+        z += (
+            skew * (z2 - 1.0) / 6.0
+            + kurt * z * (z2 - 3.0) / 24.0
+            - skew * skew * z * (2.0 * z2 - 5.0) / 36.0
+        )
+    x = law.mean + z * math.sqrt(law.variance)
     # the tail's leading term, I_x ~ x^a / (a B(a, b)) near 0 and
     # 1 - I_x ~ (1 - x)^b / (b B(a, b)) near 1: the mean is a start
     # hundreds of halvings above a quantile like 1e-137
     shape, other = (b, a) if upper else (a, b)
-    # capped at 0: a point past the support edge cannot overflow
-    ln_end = min(0.0, (target + math.log(shape) + _ln_beta(a, b)) / shape)
-    # With the other shape below 1 the leading term bounds the tail from
-    # below (its factor (1 - t)^(b - 1), or t^(a - 1), exceeds 1), so its
-    # point lies past the quantile, seen from the tail's edge, and a normal
-    # start further out moves to it.  Otherwise the normal start stays
-    # unless it lies outside (0, 1)
-    edge_dist, tail_dist = (1.0 - x if upper else x), math.exp(ln_end)
-    if edge_dist <= 0.0 or (other < 1.0 and tail_dist < edge_dist):
-        x = -math.expm1(ln_end) if upper else tail_dist
+    edge_dist = 1.0 - x if upper else x
+    # only a normal start outside (0, 1) or a shape below 1 picks a tail-term start
+    if edge_dist <= 0.0 or min(a, b) < 1.0:
+        ln_beta = _ln_beta(a, b)
+        # capped at 0: a point past the support edge cannot overflow
+        ln_end = min(0.0, (target + math.log(shape) + ln_beta) / shape)
+        tail_dist = math.exp(ln_end)
+        # With the other shape below 1 the leading term bounds the tail
+        # from below (its factor (1 - t)^(b - 1), or t^(a - 1), exceeds 1),
+        # so its point lies past the quantile, seen from the tail's edge,
+        # and a normal start further out moves to it.  Otherwise the
+        # normal start stays unless it lies outside (0, 1)
+        if edge_dist <= 0.0 or (other < 1.0 and tail_dist < edge_dist):
+            x = -math.expm1(ln_end) if upper else tail_dist
+        elif a < 1.0:
+            # The lower tail's point (q a B(a, b))^(1/a), on either side of
+            # the median, where a normal start can lie decades above a
+            # quantile like 1e-100.  For b >= 1 it lies below the quantile
+            # by the factor F^(1/a) the leading term omits, with
+            # F >= (1 - x)^(b - 1), so it replaces the start only where
+            # that bound, taken at the point, is at least 1/e
+            lead = math.exp(min(0.0, (math.log(q) + math.log(a) + ln_beta) / a))
+            if lead < x and (b <= 1.0 or (1.0 - b) * math.log1p(-lead) <= a):
+                x = lead
     if not 0.0 < x < 1.0:
         x = law.mean
     lo, hi = 0.0, 1.0
     for _ in range(_QUANTILE_MAX_ITER):
-        tails = _tails(k, x)
-        tail = tails[upper]
+        lower_tail, upper_tail, d = _point(k, x)
+        tail = upper_tail if upper else lower_tail
         # an underflowed tail puts x further out than the quantile
         excess = math.log(tail) - target if tail > 0.0 else -math.inf
         if excess == 0.0:
@@ -802,27 +866,22 @@ def _quantile_scalar(law: BetaLaw, k: _Shapes, q: float) -> float:
         # bracket collapsed to adjacent doubles: no better x exists
         if hi - lo <= math.ulp(lo):
             return x
-        # the density from the tail's own prefactor; Temme's region forms
-        # the prefactor alone
-        y = 1.0 - x
-        ln_bt = tails[2]
-        if ln_bt is None:
-            ln_bt = _ln_prefactor(k, x, y, _lambda(a, b, x))
-        d = math.exp(ln_bt - math.log(x) - math.log1p(-x))
+        # no step where the density is 0 or past the range of doubles
         if d > 0.0 and math.isfinite(d) and math.isfinite(excess):
             # Newton step on g = log(tail) - target; the tail's slope in x
             # is pdf for the cdf and -pdf for the upper tail
             step = (excess if upper else -excess) * tail / d
             # Halley's correction: g''/g' = (ln pdf)' - g', and step * g' = -excess
-            halley = 1.0 + 0.5 * (step * ((a - 1.0) / x - (b - 1.0) / y) + excess)
+            halley = 1.0 + 0.5 * (step * ((a - 1.0) / x - (b - 1.0) / (1.0 - x)) + excess)
             if 0.5 < halley < 2.0:
                 step /= halley
             if abs(step) <= _QUANTILE_XTOL * x:
                 return x + step
             x += step
-        # x sits on the bracket unless a Newton step moved it inside
+        # x sits on the bracket unless a Newton step moved it inside;
+        # halve the bracket, in log x when it spans decades
         if not lo < x < hi:
-            x = 0.5 * (lo + hi)
+            x = math.sqrt(lo) * math.sqrt(hi) if 0.0 < lo and hi > _DECADE * lo else 0.5 * (lo + hi)
     # a quantile below the smallest positive double is out of reach; 0 is the nearest double
     if not upper and _tails(k, math.ulp(0.0))[0] > q:
         return 0.0
@@ -860,6 +919,16 @@ def beta_pdf(law: BetaLaw, x):
         return _pdf_scalar(k, float(x))
     arr = _unit_points(x, "pdf")
     return _pdf_array(k, arr.ravel()).reshape(arr.shape)
+
+
+def beta_tails_pdf(law: BetaLaw, x: float) -> tuple[float, float, float]:
+    """(beta_cdf, beta_sf, beta_pdf) of ``law`` at the scalar ``x`` from one evaluation.
+
+    Each value is bit for bit the one its function gives; the density
+    takes the prefactor the tail formed, and one set of law constants
+    serves all three.
+    """
+    return _point(_Shapes(law), float(x))
 
 
 def beta_cdf(law: BetaLaw, x):

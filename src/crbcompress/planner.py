@@ -83,8 +83,13 @@ def confidence_at(n: int, m: int, p: int, kappa: float) -> float:
         raise DomainError(f"kappa must be positive and finite, got {kappa}")
     if kappa <= 1.0:
         return 0.0
-    law = betalaw.crb_ratio_law(n, m, p)
-    return float(betalaw.beta_sf(law, 1.0 / kappa))
+    return _exact(n, m, p, 1.0 / kappa)[0]
+
+
+def _exact(n: int, m: int, p: int, x: float) -> tuple[float, float]:
+    """confidence_at(n, m, p, 1 / x) and the density of its law at x, from one kernel evaluation."""
+    _, upper, pdf = betalaw.beta_tails_pdf(betalaw.crb_ratio_law(n, m, p), x)
+    return upper, pdf
 
 
 def _walk(trials: int, x: float, k: int, c: float, confidence: float, lo: int, hi: int) -> int:
@@ -126,8 +131,9 @@ def min_measurements(query: PlanQuery) -> int:
     binomial (the normal quantile plus its skewness term), walks its pmf
     to the crossing, and confirms the boundary with one exact
     confidence_at value at m.  The value at m - 1 is that one minus the
-    pmf term P[Binomial = m - p], which is a density, not a second tail;
-    only when the difference lies within its rounding error of the
+    pmf term P[Binomial = m - p], a multiple of the law's density at
+    1/kappa, which the kernel evaluation of the exact value returns with
+    it; only when the difference lies within its rounding error of the
     target is confidence_at(m - 1) evaluated exactly.  On the floor
     m = p + 2 nothing below is checked.  A confirmation that fails
     re-anchors the walk at the exact value; after _MAX_CONFIRMATIONS of
@@ -143,20 +149,21 @@ def min_measurements(query: PlanQuery) -> int:
             f"no admissible m exists for n={n}, p={p} (need p + 2 <= m <= n - p)",
             max_confidence=0.0,
         )
-    exact: dict[int, float] = {}
+    # m -> (confidence_at(m), density of its law at x)
+    exact: dict[int, tuple[float, float]] = {}
 
     def exact_at(m: int) -> float:
         if m not in exact:
-            exact[m] = confidence_at(n, m, p, kappa)
-        return exact[m]
+            exact[m] = _exact(n, m, p, x)
+        return exact[m][0]
 
-    def below(m: int, c: float) -> float:
-        """confidence_at(m - 1), given c = confidence_at(m)."""
+    def below(m: int) -> float:
+        """confidence_at(m - 1), from the exact value at m."""
         if m - 1 in exact:
-            return exact[m - 1]
+            return exact[m - 1][0]
+        c, pdf = exact[m]
         # P[Binomial(trials, x) = m - p] from the density of the law at m
-        pmf = betalaw.beta_pdf(betalaw.crb_ratio_law(n, m, p), x) * (1.0 - x) / (n - m)
-        value = c - pmf
+        value = c - pdf * (1.0 - x) / (n - m)
         if abs(value - confidence) > _DIFFERENCE_RTOL * c:
             return value
         return exact_at(m - 1)
@@ -182,7 +189,7 @@ def min_measurements(query: PlanQuery) -> int:
                     max_confidence=c,
                 )
             continue
-        if m == lo or below(m, c) < confidence:
+        if m == lo or below(m) < confidence:
             return m
         m -= 1
     raise NoConvergence(

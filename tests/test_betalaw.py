@@ -18,6 +18,7 @@ from crbcompress.betalaw import (
     beta_pdf,
     beta_quantile,
     beta_sf,
+    beta_tails_pdf,
     crb_ratio_law,
     eig_joint_logpdf,
     fim_after_logpdf,
@@ -175,11 +176,79 @@ def test_beta_quantile_tails_match_betaincinv():
 
 def test_beta_quantile_far_below_the_mean_of_small_first_shapes():
     # quantiles like 1e-137, out of reach of halving down from the mean
-    # in the iteration's 200 steps; the last case is the upper tail's
+    # in the iteration's 200 steps; the fifth case is the upper tail's.
+    # The last three lie near 1e-100 on both sides of the median, where
+    # the normal start and the tails' terms near 1 are decades above
     for a, b, q in [(0.0683, 86088.6, 1e-9), (0.2, 50.0, 1e-12), (0.05, 0.05, 1e-6),
-                    (0.5, 3.0, 1e-15), (2.0, 1.5, 1.0 - 1e-12)]:
+                    (0.5, 3.0, 1e-15), (2.0, 1.5, 1.0 - 1e-12),
+                    (0.0029208133567420642, 3086.5668209763994, 0.4831531895656017),
+                    (0.002, 419.2, 0.673), (0.0011, 2.2, 0.763)]:
         ref = scipy.special.betaincinv(a, b, q)
         np.testing.assert_allclose(beta_quantile(BetaLaw(a, b), q), ref, rtol=1e-10, err_msg=f"{a}, {b}, {q}")
+
+
+def _quantile_sweep(seed, draws=3000):
+    """(a, b, q, scipy quantile): a, b = 10^U(-3, 6), q uniform or 10^U(-15, -1), mirrored half the time.
+
+    Only points where betaincinv gives a normal double are kept.
+    """
+    rng = np.random.default_rng(seed)
+    for _ in range(draws):
+        a, b = 10.0 ** rng.uniform(-3, 6, 2)
+        q = rng.uniform() if rng.uniform() < 0.5 else 10.0 ** rng.uniform(-15, -1)
+        if rng.uniform() < 0.5:
+            q = 1.0 - q
+        if not 0.0 < q < 1.0:
+            continue
+        ref = scipy.special.betaincinv(a, b, q)
+        if np.finfo(float).tiny <= ref < 1.0:
+            yield float(a), float(b), float(q), float(ref)
+
+
+def test_beta_quantile_matches_betaincinv_on_a_random_sweep():
+    # 30 of these points raised NoConvergence, all with a < 0.005 and a
+    # quantile below 1e-60, on both sides of the median
+    points = list(_quantile_sweep(0))
+    assert len(points) > 2400
+    for a, b, q, ref in points:
+        x = beta_quantile(BetaLaw(a, b), q)
+        np.testing.assert_allclose(x, ref, rtol=1e-10, err_msg=f"{a!r}, {b!r}, {q!r}")
+
+
+def test_beta_quantile_below_the_smallest_normal_double():
+    # the quantile is subnormal, 4.15e-320, where the leading term
+    # (q a B(a, b))^(1/a) is exact; the density there exceeds the largest
+    # double, so it is inf and no Newton step is taken
+    law = BetaLaw(0.028519160127865695, 294672.2562938283)
+    q = 1.1333009114313853e-09
+    x = beta_quantile(law, q)
+    assert 0.0 < x < np.finfo(float).tiny
+    assert beta_cdf(law, math.nextafter(x, 0.0)) <= q <= beta_cdf(law, math.nextafter(x, 1.0))
+    assert beta_pdf(law, x) == math.inf
+    assert beta_tails_pdf(law, x)[2] == math.inf
+
+
+# The quantile points of the laws-plan benchmark's oracle table
+ORACLE_QUANTILE_LAWS = [(15, 16), (63, 64), (256, 768), (4997, 5000), (9999, 90000), (499999, 500000)]
+ORACLE_QUANTILE_QS = [1e-15, 1e-12, 1e-6, 0.01, 0.5, 0.99, 1.0 - 1e-6, 1.0 - 1e-9]
+
+
+def test_beta_quantile_tail_evaluations(monkeypatch):
+    # a count, not a timing, so it repeats exactly; without the
+    # Cornish-Fisher terms for shapes >= 50 the normal start takes 142
+    calls = 0
+    tails = betalaw._tails
+
+    def counting(k, x):
+        nonlocal calls
+        calls += 1
+        return tails(k, x)
+
+    monkeypatch.setattr(betalaw, "_tails", counting)
+    for a, b in ORACLE_QUANTILE_LAWS:
+        xs = [beta_quantile(BetaLaw(float(a), float(b)), q) for q in ORACLE_QUANTILE_QS]
+        np.testing.assert_allclose(xs, scipy.special.betaincinv(a, b, ORACLE_QUANTILE_QS), rtol=1e-10)
+    assert calls == 117
 
 
 def test_beta_quantile_starts_at_the_tail_term_inside_the_unit_interval():
@@ -232,6 +301,40 @@ def _large_shape_grid():
             x = law.mean + k * sd
             if 0.0 < x < 1.0:
                 yield a, b, k, x
+
+
+def _temme_oracle(a, b):
+    """d_1..d_21 of Temme's series for Beta(a, b), a, b > 100, by the float recurrence of TOMS 708 basym.
+
+    T(w), the inverse of t sqrt(A(t)), solves T T' = w (1 - r1 T - h T^2);
+    1 + sum d_i w^i = w / T(w).  Also returns w0 = 1/sqrt(min(a, b) (1 + h)).
+    """
+    if a < b:
+        h, r1 = a / b, (b - a) / b
+    else:
+        h, r1 = b / a, (b - a) / a
+    t, d = [1.0], []
+    for n in range(1, 22):
+        tt = sum(t[j] * t[n - 2 - j] for j in range(n - 1))
+        inner = sum(t[j] * t[n - j] for j in range(1, n))
+        t.append((-r1 * t[-1] - h * tt) / (n + 2.0) - 0.5 * inner)
+        d.append(-(t[n] + sum(d[j] * t[n - 1 - j] for j in range(n - 1))))
+    return np.array(d), 1.0 / math.sqrt(min(a, b) * (h + 1.0))
+
+
+def test_temme_table_matches_the_float_recurrence():
+    # the coefficients of both orientations, weighted by w0^i as basym
+    # weights them, where w0 is largest: the smaller shape just above 100
+    for h in (1e-6, 1e-3, 0.1, 1.0 / 3.0, 0.5, 0.9, 1.0 - 1e-6, 1.0):
+        a, b = 101.0, 101.0 / h
+        for law in (BetaLaw(a, b), BetaLaw(b, a)):
+            k = betalaw._Shapes(law)
+            for row, shapes in ((0, (law.a, law.b)), (1, (law.b, law.a))):
+                ref, w0 = _temme_oracle(*shapes)
+                assert k.w0 == w0
+                weights = w0 ** np.arange(1, 22)
+                err = np.abs(k.temme()[row] - ref) * weights
+                assert np.max(err) <= np.finfo(float).eps / 8, (h, law, row)
 
 
 def _mp_lower_tail(a, b, x):
@@ -399,6 +502,16 @@ def _agreement_cases():
         yield BetaLaw(a, b), np.array([0.0, *xs, 1.0])
     assert 20_000 > betalaw._CF_BLOCK_CELLS
     yield BetaLaw(63.0, 64.0), np.linspace(0.0, 1.0, 20_000)
+
+
+def test_tails_pdf_is_each_function_bit_for_bit():
+    # one kernel evaluation, the three values of three calls, Temme's
+    # region and the support edges included
+    for law, xs in _agreement_cases():
+        for x in xs[:: max(1, xs.size // 64)].tolist():
+            assert beta_tails_pdf(law, x) == (beta_cdf(law, x), beta_sf(law, x), beta_pdf(law, x)), (law, x)
+    with pytest.raises(DomainError):
+        beta_tails_pdf(BetaLaw(2.0, 3.0), 1.5)
 
 
 @pytest.mark.parametrize("fn", [beta_cdf, beta_sf, beta_pdf], ids=lambda fn: fn.__name__)

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from crbcompress.betalaw import beta_cdf, beta_pdf, beta_sf, crb_ratio_law
-from crbcompress import planner
+from crbcompress.betalaw import beta_cdf, beta_pdf, beta_sf, beta_tails_pdf, crb_ratio_law
+from crbcompress import betalaw, planner
 from crbcompress.errors import BadShape, DomainError, Infeasible, NoConvergence, NotPositiveDefinite
 from crbcompress.fisher import compressed_crb, crb, fim
 from crbcompress.planner import (
@@ -78,10 +78,14 @@ def test_pmf_term_is_the_density_of_the_law(n):
         for kappa in (1.1, 2.0, 3.0):
             x = 1.0 / kappa
             for m in _bulk_ms(n, p, kappa, (-8, -3, -1, 0, 1, 3, 8)):
-                pmf = beta_pdf(crb_ratio_law(n, m, p), x) * (1.0 - x) / (n - m)
+                law = crb_ratio_law(n, m, p)
+                pmf = beta_pdf(law, x) * (1.0 - x) / (n - m)
                 ref = scipy.stats.binom.pmf(m - p, n - p, x)
                 np.testing.assert_allclose(pmf, ref, rtol=1e-12, err_msg=str((n, p, kappa, m)))
                 c = confidence_at(n, m, p, kappa)
+                # the planner's one kernel evaluation gives both, bit for bit
+                _, upper, pdf = beta_tails_pdf(law, x)
+                assert (upper, pdf) == (c, beta_pdf(law, x)), (n, p, kappa, m)
                 # the difference keeps its precision where it loses at most a bit
                 if pmf <= 0.5 * c:
                     np.testing.assert_allclose(
@@ -146,23 +150,57 @@ def test_min_measurements_matches_a_linear_scan():
     assert kinds == {"infeasible", "floor", "interior"}
 
 
+PLAN_TARGETS = [(1.5, 0.9), (2.0, 0.99), (1.1, 0.9), (1.02, 0.999)]
+
+
+def _binomial_plan(n, p, kappa, confidence):
+    """(m, None) from the binomial cdf, or (None, best confidence) when no admissible m reaches it."""
+    law = scipy.stats.binom(n - p, 1.0 / kappa)
+    k = int(law.ppf(confidence))
+    while law.cdf(k) < confidence:
+        k += 1
+    while law.cdf(k - 1) >= confidence:
+        k -= 1
+    if k + p > n - p:
+        return None, law.cdf(n - 2 * p)
+    return max(k + p, p + 2), None
+
+
 @pytest.mark.parametrize("p", [1, 2, 4])
 def test_min_measurements_at_a_million_matches_the_binomial_oracle(p):
     n = 10**6
-    for kappa, confidence in [(1.5, 0.9), (2.0, 0.99), (1.1, 0.9), (1.02, 0.999)]:
-        law = scipy.stats.binom(n - p, 1.0 / kappa)
-        k = int(law.ppf(confidence))
-        while law.cdf(k) < confidence:
-            k += 1
-        while law.cdf(k - 1) >= confidence:
-            k -= 1
+    for kappa, confidence in PLAN_TARGETS:
         query = PlanQuery(n=n, p=p, kappa=kappa, confidence=confidence)
-        assert min_measurements(query) == max(k + p, p + 2)
+        assert min_measurements(query) == _binomial_plan(n, p, kappa, confidence)[0]
+
+
+def test_plan_queries_evaluate_no_second_density(monkeypatch):
+    # the pmf term reads the density stored with the exact value, so no
+    # query calls beta_pdf for it; every answer still matches the oracle
+    def no_density(law, x):
+        raise AssertionError(f"beta_pdf called for {law} at {x}")
+
+    monkeypatch.setattr(betalaw, "beta_pdf", no_density)
+    kinds = set()
+    for n in (128, 1024, 10**4, 10**5, 10**6):
+        for p in (1, 2, 4):
+            for kappa, confidence in PLAN_TARGETS:
+                m, best = _binomial_plan(n, p, kappa, confidence)
+                query = PlanQuery(n=n, p=p, kappa=kappa, confidence=confidence)
+                if m is None:
+                    kinds.add("infeasible")
+                    with pytest.raises(Infeasible) as exc_info:
+                        min_measurements(query)
+                    np.testing.assert_allclose(exc_info.value.max_confidence, best, rtol=1e-12)
+                else:
+                    kinds.add("feasible")
+                    assert min_measurements(query) == m, (n, p, kappa, confidence)
+    assert kinds == {"infeasible", "feasible"}
 
 
 def test_min_measurements_raises_when_the_walk_cannot_be_confirmed(monkeypatch):
     # exact values that contradict the binomial walk at every anchor
-    monkeypatch.setattr(planner, "confidence_at", lambda n, m, p, kappa: 1.0)
+    monkeypatch.setattr(planner, "_exact", lambda n, m, p, x: (1.0, 0.0))
     with pytest.raises(NoConvergence):
         min_measurements(PlanQuery(n=10_000, p=2, kappa=2.0, confidence=0.9))
 
