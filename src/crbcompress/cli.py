@@ -73,7 +73,7 @@ _FLAG_ONLY = frozenset(
     {"command", "func", "config", "out", "which", "theta", "amplitudes", "phases"}
 )
 # keys a nested config object may hold; each beats the same top-level key
-_NESTED = {"scenario": ("n", "sources"), "compressor": ("m", "family", "element_variance")}
+_NESTED = {"scenario": ("n", "sources"), "compressor": ("m", "family")}
 
 
 def _float_list(value) -> list[float]:
@@ -153,14 +153,10 @@ def _resolve_scenario(args) -> UlaScenario:
 
 
 def _compressor(args, n: int) -> CompressorSpec:
-    """The --m, --family and --element-variance options; an unset entry variance is 1/m."""
+    """The --m and --family options."""
     if args.m is None:
         raise BadSpec("the compressed dimension m is required (flag --m or config key)")
-    m = int(args.m)
-    element_variance = 1.0 / m if args.element_variance is None else float(args.element_variance)
-    return CompressorSpec(
-        m=m, n=n, family=str(args.family), element_variance=element_variance, seed=args.seed
-    )
+    return CompressorSpec(m=int(args.m), n=n, family=str(args.family), seed=args.seed)
 
 
 def _scenario_dict(scenario: UlaScenario) -> dict:
@@ -495,7 +491,7 @@ def _cmd_ellipse(args, out: Path):
 
 def _fig1(out: Path, n: int, m: int, trials: int, bins: int, seed: int) -> list[str]:
     scenario = two_source_half_rayleigh(n)
-    spec = CompressorSpec(m=m, n=n, family="gaussian", element_variance=1.0 / m, seed=seed)
+    spec = CompressorSpec(m=m, n=n, family="gaussian", seed=seed)
     config = mcharness.ExperimentConfig(
         compressor=spec,
         trials=trials,
@@ -539,7 +535,7 @@ def _fig1(out: Path, n: int, m: int, trials: int, bins: int, seed: int) -> list[
 
 def _fig2(out: Path, n: int, m: int, draws: int, points: int, seed: int) -> list[str]:
     scenario = two_source_half_rayleigh(n)
-    spec = CompressorSpec(m=m, n=n, family="gaussian", element_variance=1.0 / m, seed=seed)
+    spec = CompressorSpec(m=m, n=n, family="gaussian", seed=seed)
     level, curves, lam_max = _ellipse_curves(scenario, 1.0, spec, draws, None, points)
     return _write_ellipse_outputs(out, "fig2", level, curves, lam_max)
 
@@ -624,12 +620,10 @@ def _add_scenario_flags(sub: argparse.ArgumentParser) -> None:
     sub.set_defaults(sources=None)
 
 
-def _add_compressor_flags(sub: argparse.ArgumentParser, element_variance: float | None) -> None:
+def _add_compressor_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--m", type=int, default=None, help="compressed dimension, required")
     sub.add_argument("--family", type=str, default="gaussian", choices=list(FAMILIES),
                      help="compressor ensemble")
-    sub.add_argument("--element-variance", type=float, default=element_variance,
-                     help="variance of each compressor entry; None means 1/m")
 
 
 def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
@@ -654,7 +648,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sub = add("simulate", "run a Monte Carlo campaign", _cmd_simulate)
     _add_run_flags(sub, "directory for JSON and CSV outputs")
     _add_scenario_flags(sub)
-    _add_compressor_flags(sub, 1.0)
+    _add_compressor_flags(sub)
     sub.add_argument("--trials", type=int, default=10000, help="compressor draws")
     sub.add_argument("--stat", dest="statistics", action=_AppendOver, default=["crb_ratio"],
                      choices=list(mcharness.STATISTICS), help="statistic to sample (repeatable)")
@@ -689,7 +683,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sub = add("ellipse", "concentration ellipse loci", _cmd_ellipse)
     _add_run_flags(sub, "output directory", out_required=True)
     _add_scenario_flags(sub)
-    _add_compressor_flags(sub, None)
+    _add_compressor_flags(sub)
     sub.add_argument("--draws", type=int, default=100, help="compressor draws")
     sub.add_argument("--r2", type=float, default=None, help="ellipse level; None means Re(J)_00")
     sub.add_argument("--points", type=int, default=256, help="points per ellipse")

@@ -52,33 +52,24 @@ def as_hermitian(a, name: str = "matrix") -> np.ndarray:
     return hermitian_part(arr)
 
 
-def require_full_rank(m: np.ndarray, name: str = "matrix", rank_tol: float = RANK_TOL) -> None:
-    """Raise RankDeficient unless ``m`` has rank min(rows, columns).
-
-    The test compares the singular values against ``rank_tol`` times the
-    largest.
-    """
-    s = np.linalg.svd(m, compute_uv=False)
-    if s[0] == 0.0 or s[-1] <= rank_tol * s[0]:
-        raise RankDeficient(
-            f"{name} of shape {m.shape} is rank deficient "
-            f"(smallest/largest singular value = {s[-1]:.3e}/{s[0]:.3e})"
-        )
-
-
-def orthonormal_columns(m, rank_tol: float = RANK_TOL) -> np.ndarray:
+def orthonormal_columns(m) -> np.ndarray:
     """Orthonormal basis Q (same shape as ``m``) for the column space.
 
-    Requires full column rank; raises RankDeficient otherwise (see
-    :func:`require_full_rank`).
+    Requires full column rank: raises RankDeficient when the smallest
+    singular value is at or below RANK_TOL times the largest.
     """
     m = as_complex_matrix(m)
-    require_full_rank(m, rank_tol=rank_tol)
+    s = np.linalg.svd(m, compute_uv=False)
+    if s[0] == 0.0 or s[-1] <= RANK_TOL * s[0]:
+        raise RankDeficient(
+            f"matrix of shape {m.shape} is rank deficient "
+            f"(smallest/largest singular value = {s[-1]:.3e}/{s[0]:.3e})"
+        )
     q, _ = np.linalg.qr(m)
     return q
 
 
-def orthonormal_range(m, rank_tol: float = RANK_TOL) -> np.ndarray:
+def orthonormal_range(m) -> np.ndarray:
     """Orthonormal basis for the column space, rank-truncating.
 
     Unlike :func:`orthonormal_columns` this never raises on rank
@@ -89,19 +80,19 @@ def orthonormal_range(m, rank_tol: float = RANK_TOL) -> np.ndarray:
     u, s, _ = np.linalg.svd(m, full_matrices=False)
     if s[0] == 0.0:
         return u[:, :0]
-    rank = int(np.count_nonzero(s > rank_tol * s[0]))
+    rank = int(np.count_nonzero(s > RANK_TOL * s[0]))
     return u[:, :rank]
 
 
-def hermitian_inv_sqrt(a, pd_tol: float = PD_TOL) -> np.ndarray:
+def hermitian_inv_sqrt(a) -> np.ndarray:
     """Hermitian S with S A S = inverse of A, for Hermitian PD ``a``.
 
     Raises NotPositiveDefinite when the smallest eigenvalue is at or
-    below ``pd_tol`` times the largest.
+    below PD_TOL times the largest.
     """
     a = as_hermitian(a)
     w, v = np.linalg.eigh(a)
-    if w[-1] <= 0.0 or w[0] <= pd_tol * w[-1]:
+    if w[-1] <= 0.0 or w[0] <= PD_TOL * w[-1]:
         raise NotPositiveDefinite(
             f"matrix is not positive definite (eigenvalue range [{w[0]:.3e}, {w[-1]:.3e}])"
         )
@@ -109,7 +100,7 @@ def hermitian_inv_sqrt(a, pd_tol: float = PD_TOL) -> np.ndarray:
     return hermitian_part(s)
 
 
-def logdet_hpd(a, rank_tol: float = RANK_TOL) -> float:
+def logdet_hpd(a) -> float:
     """log det A for Hermitian PSD ``a``; SingularMatrix when det is 0.
 
     Consumers evaluating log-densities should map SingularMatrix to
@@ -117,7 +108,7 @@ def logdet_hpd(a, rank_tol: float = RANK_TOL) -> float:
     """
     a = as_hermitian(a)
     w = np.linalg.eigvalsh(a)
-    if w[-1] <= 0.0 or w[0] <= rank_tol * w[-1]:
+    if w[-1] <= 0.0 or w[0] <= RANK_TOL * w[-1]:
         raise SingularMatrix(
             f"matrix is singular to working precision (eigenvalue range [{w[0]:.3e}, {w[-1]:.3e}])"
         )

@@ -7,7 +7,11 @@ parameter i is the i-th diagonal entry of its inverse, computable
 without inversion by projecting column i against the others.
 
 Compression by a wide matrix Phi replaces G with its projection onto
-the row space of Phi; everything downstream is unchanged.
+the row space of Phi; everything downstream is unchanged.  The KL
+divergence between two mean vectors is the same computation for the
+single column x1 - x2, so ``compressed_kl`` and ``compressed_fim``
+share one row-space projection.  Arbitrary Jacobians enter through
+``fim``, ``compressed_fim`` and ``crb``.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cxla
-from .errors import BadShape, NotPositiveDefinite, RankDeficient, SingularFim
+from .errors import BadShape, RankDeficient, SingularFim
 
 # A parameter counts as unidentifiable when the residual of its Jacobian
 # column against the others falls below this fraction of its norm.
@@ -46,6 +50,13 @@ class FimResult:
         return self.G.shape[1]
 
 
+def _noise_power(sigma2) -> float:
+    """``sigma2`` as a float, or BadShape unless it is positive and finite."""
+    if not (sigma2 > 0.0 and math.isfinite(sigma2)):
+        raise BadShape(f"sigma2 must be positive and finite, got {sigma2}")
+    return float(sigma2)
+
+
 def fim(G, sigma2: float = 1.0) -> FimResult:
     """Information matrix G^H G / sigma2 for noise covariance sigma2*I.
 
@@ -58,10 +69,9 @@ def fim(G, sigma2: float = 1.0) -> FimResult:
     G = cxla.as_complex_matrix(G, "G")
     if G.shape[0] <= G.shape[1]:
         raise BadShape(f"G must be tall (n > p), got shape {G.shape}")
-    if not (sigma2 > 0.0 and math.isfinite(sigma2)):
-        raise BadShape(f"sigma2 must be positive and finite, got {sigma2}")
+    sigma2 = _noise_power(sigma2)
     j = cxla.hermitian_part(G.conj().T @ G) / sigma2
-    return FimResult(J=j, G=G, sigma2=float(sigma2))
+    return FimResult(J=j, G=G, sigma2=sigma2)
 
 
 def _residual_norm_sq(g: np.ndarray, others: np.ndarray) -> float:
@@ -100,6 +110,15 @@ def crb(info: FimResult, i: int) -> float:
     return info.sigma2 / res_sq
 
 
+def _project_onto_rows(a: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """The columns of ``a`` projected onto the row space of the full-row-rank ``phi``."""
+    try:
+        q = cxla.orthonormal_columns(phi.conj().T)
+    except RankDeficient as exc:
+        raise RankDeficient(f"phi does not have full row rank: {exc}") from exc
+    return q @ (q.conj().T @ a)
+
+
 def compressed_fim(G, phi, sigma2: float = 1.0) -> FimResult:
     """Information after observing Phi x instead of x.
 
@@ -115,20 +134,10 @@ def compressed_fim(G, phi, sigma2: float = 1.0) -> FimResult:
         raise BadShape(f"phi has {phi.shape[1]} columns, expected n={n}")
     if not p < m <= n:
         raise BadShape(f"need p < m <= n, got p={p}, m={m}, n={n}")
-    if not (sigma2 > 0.0 and math.isfinite(sigma2)):
-        raise BadShape(f"sigma2 must be positive and finite, got {sigma2}")
-    try:
-        q = cxla.orthonormal_columns(phi.conj().T)
-    except RankDeficient as exc:
-        raise RankDeficient(f"phi does not have full row rank: {exc}") from exc
-    g_hat = q @ (q.conj().T @ G)
+    sigma2 = _noise_power(sigma2)
+    g_hat = _project_onto_rows(G, phi)
     j_hat = cxla.hermitian_part(g_hat.conj().T @ g_hat) / sigma2
-    return FimResult(J=j_hat, G=g_hat, sigma2=float(sigma2))
-
-
-def compressed_crb(G, phi, sigma2: float, i: int) -> float:
-    """Bound for parameter i after compression by ``phi``."""
-    return crb(compressed_fim(G, phi, sigma2), i)
+    return FimResult(J=j_hat, G=g_hat, sigma2=sigma2)
 
 
 @dataclass(frozen=True)
@@ -155,52 +164,36 @@ def normalized_fim(before: FimResult, after: FimResult) -> NormalizedFim:
     return NormalizedFim(W=w, before=before, after=after)
 
 
-def kl_divergence(x1, x2, C) -> float:
-    """KL divergence between complex Gaussians with means x1, x2.
-
-    Both share the Hermitian positive definite covariance ``C``; the
-    divergence reduces to the quadratic form (x1-x2)^H C^{-1} (x1-x2).
-    """
+def _mean_difference(x1, x2) -> np.ndarray:
     x1 = cxla.as_complex_vector(x1, "x1")
     x2 = cxla.as_complex_vector(x2, "x2")
     if x1.shape != x2.shape:
         raise BadShape(f"mean vectors disagree in length: {x1.shape} vs {x2.shape}")
-    C = cxla.as_hermitian(C, "C")
-    if C.shape[0] != x1.shape[0]:
-        raise BadShape(f"covariance is {C.shape[0]}x{C.shape[0]}, means have length {x1.shape[0]}")
-    delta = x1 - x2
-    try:
-        L = np.linalg.cholesky(C)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(f"covariance is not positive definite: {exc}") from exc
-    y = np.linalg.solve(L, delta)
-    return max(float(np.real(np.vdot(y, y))), 0.0)
+    return x1 - x2
 
 
-def compressed_kl(x1, x2, C, phi) -> float:
+def kl_divergence(x1, x2, sigma2: float = 1.0) -> float:
+    """KL divergence between complex Gaussians with means x1, x2 and covariance sigma2*I.
+
+    This is ||x1 - x2||^2 / sigma2.
+    """
+    delta = _mean_difference(x1, x2)
+    return float(np.real(np.vdot(delta, delta))) / _noise_power(sigma2)
+
+
+def compressed_kl(x1, x2, sigma2: float, phi) -> float:
     """KL divergence between the same Gaussians observed through Phi.
 
-    Means become Phi x, covariance becomes Phi C Phi^H.  For C equal to
-    sigma2*I this is the projected quadratic form
-    (x1-x2)^H P (x1-x2) / sigma2 with P the row-space projector of Phi.
+    The means become Phi x and the covariance sigma2 Phi Phi^H, so the
+    divergence is ||P (x1 - x2)||^2 / sigma2 with P the row-space
+    projector of Phi: the compressed information of the single column
+    x1 - x2.  Phi must be m-by-n with full row rank and m <= n.
     """
-    x1 = cxla.as_complex_vector(x1, "x1")
-    x2 = cxla.as_complex_vector(x2, "x2")
+    delta = _mean_difference(x1, x2)
     phi = cxla.as_complex_matrix(phi, "phi")
-    if x1.shape != x2.shape:
-        raise BadShape(f"mean vectors disagree in length: {x1.shape} vs {x2.shape}")
-    n = x1.shape[0]
+    n = delta.shape[0]
     if phi.shape[1] != n or phi.shape[0] > n:
         raise BadShape(f"phi must be m-by-{n} with m <= {n}, got {phi.shape}")
-    cxla.require_full_rank(phi, "phi")
-    C = cxla.as_hermitian(C, "C")
-    if C.shape[0] != n:
-        raise BadShape(f"covariance is {C.shape[0]}x{C.shape[0]}, means have length {n}")
-    delta = phi @ (x1 - x2)
-    M = cxla.hermitian_part(phi @ C @ phi.conj().T)
-    try:
-        L = np.linalg.cholesky(M)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(f"compressed covariance is not positive definite: {exc}") from exc
-    y = np.linalg.solve(L, delta)
-    return max(float(np.real(np.vdot(y, y))), 0.0)
+    sigma2 = _noise_power(sigma2)
+    d_hat = _project_onto_rows(delta, phi)
+    return float(np.real(np.vdot(d_hat, d_hat))) / sigma2

@@ -4,12 +4,16 @@ Draws compression matrices trial by trial, evaluates per-trial
 information statistics, and aggregates them into moments, histograms,
 and Kolmogorov-Smirnov comparisons against the analytic laws.
 
+A campaign has the inputs the laws depend on and no others: a line
+array model, evaluated at its reference point, white noise of power
+``sigma2``, and a compressor ensemble.
+
 Per-trial statistics:
 
 * ``crb_ratio``: (CRB before) / (CRB after) for one parameter index,
   in [0, 1]; predicted law Beta(m - p + 1, n - m).
 * ``kl_ratio``: (KL after) / (KL before) between two parameter points,
-  in [0, 1]; predicted law Beta(m, n - m) for scalar noise covariance.
+  in [0, 1]; predicted law Beta(m, n - m).
 * ``w_eigenvalues``: ascending spectrum of the whitened compressed
   information matrix.
 * ``w_mean`` / ``fim_mean``: matrix means of W and of the compressed
@@ -38,8 +42,8 @@ import numpy as np
 
 from . import betalaw, cxla, fisher
 from .errors import BadShape, BadSpec, DomainError, RankDeficient, SingularFim, TooFewSamples
-from .randcomp import CompressorSpec, derive_stream, sample
-from .sigmodel import SignalModel, UlaModel
+from .randcomp import CompressorSpec, check_key, derive_stream, sample
+from .sigmodel import UlaModel
 
 
 @dataclass(frozen=True)
@@ -121,18 +125,16 @@ class StatSummary:
 class ExperimentConfig:
     """Everything needed to rerun a campaign bit for bit.
 
-    Give either an explicit Jacobian ``G`` or a ``model`` (plus
-    ``theta`` unless the model carries a reference point).  ``seed``
-    falls back to the compressor's own seed when omitted.
+    The trials compress the Jacobian of ``model`` at its reference
+    point; ``kl_ratio`` compares the means there and at ``theta_alt``.
+    ``seed`` falls back to the compressor's own seed when omitted.
     ``allow_law_violation`` downgrades the p < m <= n - p validity gate
     to a warning, for deliberately degenerate runs such as m = n.
     """
 
     compressor: CompressorSpec
     trials: int
-    model: SignalModel | None = None
-    theta: np.ndarray | None = None
-    G: np.ndarray | None = None
+    model: UlaModel | None = None
     sigma2: float = 1.0
     statistics: tuple[str, ...] = ("crb_ratio",)
     crb_index: int = 0
@@ -187,30 +189,8 @@ def ks_one_sample(samples, cdf: Callable, alpha: float = 0.01) -> KsResult:
     return KsResult(statistic=d, critical=float(critical), alpha=alpha, passed=bool(d < critical))
 
 
-def ks_two_sample(a, b, alpha: float = 0.01) -> KsResult:
-    """Two-sample KS test for samples drawn from a common law."""
-    if alpha not in KS_CRITICAL:
-        raise DomainError(f"unsupported alpha {alpha}; choose from {sorted(KS_CRITICAL)}")
-    xa = np.sort(np.asarray(a, dtype=np.float64).ravel())
-    xb = np.sort(np.asarray(b, dtype=np.float64).ravel())
-    na, nb = xa.shape[0], xb.shape[0]
-    if na < 100 or nb < 100:
-        raise TooFewSamples(f"KS test needs at least 100 samples per side, got {na} and {nb}")
-    grid = np.concatenate([xa, xb])
-    grid.sort()
-    ecdf_a = np.searchsorted(xa, grid, side="right") / na
-    ecdf_b = np.searchsorted(xb, grid, side="right") / nb
-    d = float(np.max(np.abs(ecdf_a - ecdf_b)))
-    critical = KS_CRITICAL[alpha] * np.sqrt((na + nb) / (na * nb))
-    return KsResult(statistic=d, critical=float(critical), alpha=alpha, passed=bool(d < critical))
-
-
-def histogram(samples, bins: int = 50, value_range: tuple[float, float] | None = None) -> Histogram:
-    """Equal-width histogram over [min, max] unless a range is given.
-
-    Samples outside an explicit range are dropped by ``np.histogram``;
-    with the default range every sample lands in some bin.
-    """
+def histogram(samples, bins: int = 50) -> Histogram:
+    """Equal-width histogram over [min, max]; every sample lands in some bin."""
     x = np.asarray(samples, dtype=np.float64).ravel()
     if x.size == 0:
         raise TooFewSamples("histogram needs at least one sample")
@@ -218,32 +198,13 @@ def histogram(samples, bins: int = 50, value_range: tuple[float, float] | None =
         raise BadShape("histogram samples contain non-finite values")
     if not (isinstance(bins, int) and bins >= 1):
         raise BadSpec(f"bins must be a positive int, got {bins!r}")
-    if value_range is None:
-        lo, hi = float(x.min()), float(x.max())
-        # span of a few ulps cannot support bins of distinct finite
-        # width; a single bin is the honest picture of constant data
-        if 0.0 < hi - lo <= bins * np.spacing(max(abs(lo), abs(hi))):
-            counts, edges = np.histogram(x, bins=1, range=(lo, hi))
-            return Histogram(edges=edges, counts=counts)
-    counts, edges = np.histogram(x, bins=bins, range=value_range)
+    lo, hi = float(x.min()), float(x.max())
+    # span of a few ulps cannot support bins of distinct finite width; a
+    # single bin is the honest picture of constant data
+    if 0.0 < hi - lo <= bins * np.spacing(max(abs(lo), abs(hi))):
+        bins = 1
+    counts, edges = np.histogram(x, bins=bins)
     return Histogram(edges=edges, counts=counts)
-
-
-def _resolve_jacobian(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray | None]:
-    if config.G is not None:
-        if config.model is not None:
-            raise BadSpec("give either an explicit G or a model, not both")
-        return cxla.as_complex_matrix(config.G, "G"), None
-    if config.model is None:
-        raise BadSpec("config needs an explicit G or a model")
-    theta = config.theta
-    if theta is None:
-        if isinstance(config.model, UlaModel):
-            theta = config.model.reference_theta
-        else:
-            raise BadSpec("theta is required unless the model carries a reference point")
-    theta = np.asarray(theta, dtype=np.float64).reshape(-1)
-    return config.model.jacobian(theta), theta
 
 
 class _Campaign:
@@ -253,11 +214,13 @@ class _Campaign:
     statistics that need them, so their failures fail the run.
     """
 
-    def __init__(self, config: ExperimentConfig, G: np.ndarray, theta: np.ndarray | None, names: tuple):
-        self.config, self.G, self.theta, self.names = config, G, theta, names
+    def __init__(self, config: ExperimentConfig, names: tuple):
+        self.config, self.names = config, names
+        model = config.model
+        self.G = model.jacobian(model.reference_theta)
         self.seed = config.seed if config.seed is not None else config.compressor.seed
         # every campaign checks G and sigma2 this way, whatever it samples
-        self.info_before = fisher.fim(G, config.sigma2)
+        self.info_before = fisher.fim(self.G, config.sigma2)
 
     @cached_property
     def information(self) -> fisher.FimResult:
@@ -272,20 +235,17 @@ class _Campaign:
         return fisher.crb(self.information, self.config.crb_index)
 
     @cached_property
-    def kl_reference(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-        """The two means, the noise covariance and the uncompressed KL divergence."""
-        config = self.config
-        if config.model is None or self.theta is None:
-            raise BadSpec("kl_ratio needs a model (explicit G carries no mean map)")
+    def kl_reference(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """The means at the reference point and at theta_alt, and their uncompressed KL divergence."""
+        config, model = self.config, self.config.model
         if config.theta_alt is None:
             raise BadSpec("kl_ratio needs theta_alt")
-        x_ref = config.model.mean(self.theta)
-        x_alt = config.model.mean(np.asarray(config.theta_alt, dtype=np.float64).reshape(-1))
-        noise_cov = config.sigma2 * np.eye(self.G.shape[0], dtype=np.complex128)
-        kl_before = fisher.kl_divergence(x_ref, x_alt, noise_cov)
+        x_ref = model.mean(model.reference_theta)
+        x_alt = model.mean(config.theta_alt)
+        kl_before = fisher.kl_divergence(x_ref, x_alt, config.sigma2)
         if kl_before <= 0.0:
-            raise DomainError("theta_alt coincides with theta; the KL ratio is undefined")
-        return x_ref, x_alt, noise_cov, kl_before
+            raise DomainError("theta_alt coincides with the reference point; the KL ratio is undefined")
+        return x_ref, x_alt, kl_before
 
     @cached_property
     def whitener(self) -> np.ndarray:
@@ -318,8 +278,8 @@ class _Trial:
 
     @property
     def kl_ratio(self) -> float:
-        x_ref, x_alt, noise_cov, kl_before = self.campaign.kl_reference
-        return fisher.compressed_kl(x_ref, x_alt, noise_cov, self.phi) / kl_before
+        x_ref, x_alt, kl_before = self.campaign.kl_reference
+        return fisher.compressed_kl(x_ref, x_alt, self.campaign.config.sigma2, self.phi) / kl_before
 
     @property
     def w_eigenvalues(self) -> np.ndarray:
@@ -353,14 +313,16 @@ def run(config: ExperimentConfig) -> ExperimentSummary:
         raise BadSpec(f"duplicate statistics in {requested}")
     if not (isinstance(config.trials, int) and config.trials >= 1):
         raise BadSpec(f"trials must be a positive int, got {config.trials!r}")
+    if config.seed is not None:
+        check_key(config.seed)
     # the field goes with the next benchmark change, which stops passing threads=1
     if not (isinstance(config.threads, int) and config.threads == 1):
         raise BadSpec(f"threads must be 1 (campaigns run on one thread), got {config.threads!r}")
 
-    spec = config.compressor
-    G, theta = _resolve_jacobian(config)
-    n, p = G.shape
-    m = spec.m
+    model, spec = config.model, config.compressor
+    if not isinstance(model, UlaModel):
+        raise BadSpec(f"config needs a UlaModel, got {model!r}")
+    n, p, m = model.n, model.p, spec.m
     if spec.n != n:
         raise BadSpec(f"compressor ambient dimension {spec.n} does not match model n={n}")
     law_ok = p < m <= n - p
@@ -372,7 +334,7 @@ def run(config: ExperimentConfig) -> ExperimentSummary:
             raise BadSpec(message + "; set allow_law_violation=True to run anyway")
 
     names = tuple(name for name in _TABLE if name in requested)
-    campaign = _Campaign(config, G, theta, names)
+    campaign = _Campaign(config, names)
     for name in names:  # build the shared pieces before any trial
         getattr(campaign, _TABLE[name].need)
 

@@ -2,11 +2,14 @@
 
 All three families are right-orthogonally invariant, which is the only
 property the loss laws need: the row-space projector of a draw is then
-uniform over the Grassmannian, and element scaling drops out entirely.
+uniform over the Grassmannian.  Entries are drawn at unit variance;
+any other scale would leave the row space, and so every statistic,
+unchanged.
 
 Streams are counter based: ``derive_stream(seed, trial)`` keys a Philox
 generator with the pair, so any trial of any campaign can be regenerated
-in isolation and in any order.
+in isolation and in any order.  Seeds and trial indices are ints in
+[0, 2^64), the Philox key range, so distinct pairs never share a stream.
 """
 
 from __future__ import annotations
@@ -21,9 +24,16 @@ from .errors import BadSpec
 FAMILIES = ("gaussian", "stiefel", "spherical_rows")
 
 
+def check_key(value, name: str = "seed") -> int:
+    """``value`` if it is an int in [0, 2^64), else BadSpec."""
+    if not (isinstance(value, int) and not isinstance(value, bool) and 0 <= value < 2**64):
+        raise BadSpec(f"{name} must be an int in [0, 2**64), got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class CompressorSpec:
-    """Shape, family, element scale, and seed of a compressor ensemble.
+    """Shape, family, and seed of a compressor ensemble.
 
     ``m`` is the compressed dimension, ``n`` the ambient one.  The
     relation to the parameter count (p < m, n - p >= m) is checked at
@@ -33,7 +43,6 @@ class CompressorSpec:
     m: int
     n: int
     family: str = "gaussian"
-    element_variance: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
@@ -43,10 +52,7 @@ class CompressorSpec:
             raise BadSpec(f"need 1 <= m <= n, got m={self.m}, n={self.n}")
         if self.family not in FAMILIES:
             raise BadSpec(f"unknown family {self.family!r}, expected one of {FAMILIES}")
-        if not (self.element_variance > 0.0 and math.isfinite(self.element_variance)):
-            raise BadSpec(f"element_variance must be positive, got {self.element_variance}")
-        if not isinstance(self.seed, int):
-            raise BadSpec(f"seed must be an int, got {self.seed!r}")
+        check_key(self.seed)
 
 
 def derive_stream(seed: int, trial: int) -> np.random.Generator:
@@ -55,19 +61,18 @@ def derive_stream(seed: int, trial: int) -> np.random.Generator:
     Philox is keyed directly with the pair, so streams for distinct
     trials never collide and do not depend on generation order.
     """
-    if trial < 0:
-        raise BadSpec(f"trial index must be nonnegative, got {trial}")
-    key = np.array([seed % 2**64, trial % 2**64], dtype=np.uint64)
+    key = np.array([check_key(seed), check_key(trial, "trial index")], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _complex_gaussian(rng: np.random.Generator, m: int, n: int, variance: float) -> np.ndarray:
-    scale = math.sqrt(variance / 2.0)
+def _complex_gaussian(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
+    """i.i.d. CN(0, 1) entries."""
+    scale = math.sqrt(0.5)
     return scale * (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)))
 
 
 def _haar_row_frame(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
-    a = _complex_gaussian(rng, n, m, 1.0)
+    a = _complex_gaussian(rng, n, m)
     q, r = np.linalg.qr(a)
     # Phase correction makes the QR factor exactly Haar distributed.
     d = np.diagonal(r)
@@ -75,21 +80,21 @@ def _haar_row_frame(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
     return q.conj().T
 
 
-def _spherical_rows(rng: np.random.Generator, m: int, n: int, variance: float) -> np.ndarray:
-    g = _complex_gaussian(rng, m, n, 1.0)
+def _spherical_rows(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
+    g = _complex_gaussian(rng, m, n)
     norms = np.linalg.norm(g, axis=1, keepdims=True)
     directions = g / norms
-    # Radius of a CN(0, v I_n) vector: sqrt(v/2) times a chi with 2n dof.
-    radii = np.sqrt(variance * rng.chisquare(2 * n, size=(m, 1)) / 2.0)
+    # Radius of a CN(0, I_n) vector: sqrt(1/2) times a chi with 2n dof.
+    radii = np.sqrt(rng.chisquare(2 * n, size=(m, 1)) / 2.0)
     return radii * directions
 
 
 def sample(spec: CompressorSpec, rng: np.random.Generator) -> np.ndarray:
     """Draw one m-by-n compressor from the ensemble ``spec``."""
     if spec.family == "gaussian":
-        return _complex_gaussian(rng, spec.m, spec.n, spec.element_variance)
+        return _complex_gaussian(rng, spec.m, spec.n)
     if spec.family == "stiefel":
         return _haar_row_frame(rng, spec.m, spec.n)
     if spec.family == "spherical_rows":
-        return _spherical_rows(rng, spec.m, spec.n, spec.element_variance)
+        return _spherical_rows(rng, spec.m, spec.n)
     raise BadSpec(f"unknown family {spec.family!r}")

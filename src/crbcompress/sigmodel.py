@@ -1,21 +1,20 @@
-"""Signal models: the nonlinear mean map x(theta) and its Jacobian.
+"""The signal model: a line array's mean map x(theta) and its Jacobian.
 
-A model exposes its ambient dimension ``n``, its parameter count ``p``,
-and the two evaluation maps.  The built-in model is a uniform line
-array observing ``p`` far-field sources with known amplitudes and
-phases; the unknown parameters are the electrical angles.
+``UlaModel`` is a uniform line array of ``n`` sensors observing ``p``
+far-field sources with known amplitudes and phases; the unknown
+parameters are the electrical angles, and the scenario's angles are the
+reference point a campaign evaluates the Jacobian at.  The beta laws
+hold for any Jacobian, so other models enter ``fisher`` as a plain
+n-by-p matrix.
 """
 
 from __future__ import annotations
 
-import abc
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .cxla import as_complex_vector
 from .errors import BadShape, BadSpec
 
 
@@ -23,36 +22,6 @@ def _reduce_angle(theta: float) -> float:
     # IEEE remainder keeps the mean map 2*pi periodic whenever the
     # shifted angle is exactly representable.
     return math.remainder(float(theta), math.tau)
-
-
-class SignalModel(abc.ABC):
-    """Mean map and Jacobian of a deterministic signal in noise."""
-
-    @property
-    @abc.abstractmethod
-    def n(self) -> int:
-        """Ambient (uncompressed) observation dimension."""
-
-    @property
-    @abc.abstractmethod
-    def p(self) -> int:
-        """Number of unknown real parameters."""
-
-    @abc.abstractmethod
-    def mean(self, theta: np.ndarray) -> np.ndarray:
-        """Complex mean vector of shape (n,) at parameter ``theta``."""
-
-    @abc.abstractmethod
-    def jacobian(self, theta: np.ndarray) -> np.ndarray:
-        """Complex n-by-p Jacobian of the mean map at ``theta``."""
-
-    def _check_theta(self, theta) -> np.ndarray:
-        arr = np.asarray(theta, dtype=np.float64).reshape(-1)
-        if arr.shape[0] != self.p:
-            raise BadShape(f"theta must have {self.p} entries, got {arr.shape[0]}")
-        if not np.all(np.isfinite(arr)):
-            raise BadShape("theta contains non-finite entries")
-        return arr
 
 
 @dataclass(frozen=True)
@@ -117,7 +86,7 @@ def ula_jacobian(scenario: UlaScenario) -> np.ndarray:
     return g
 
 
-class UlaModel(SignalModel):
+class UlaModel:
     """Line-array model with the angles as the unknown parameters.
 
     Amplitudes and phases are taken from the scenario and held fixed;
@@ -143,8 +112,13 @@ class UlaModel(SignalModel):
     def reference_theta(self) -> np.ndarray:
         return self._scenario.angles
 
-    def _at(self, theta: np.ndarray) -> UlaScenario:
-        theta = self._check_theta(theta)
+    def _at(self, theta) -> UlaScenario:
+        """The scenario with its angles replaced by ``theta``."""
+        theta = np.asarray(theta, dtype=np.float64).reshape(-1)
+        if theta.shape[0] != self.p:
+            raise BadShape(f"theta must have {self.p} entries, got {theta.shape[0]}")
+        if not np.all(np.isfinite(theta)):
+            raise BadShape("theta contains non-finite entries")
         sources = tuple(
             Source(float(t), s.amplitude, s.phase)
             for t, s in zip(theta, self._scenario.sources)
@@ -156,68 +130,3 @@ class UlaModel(SignalModel):
 
     def jacobian(self, theta) -> np.ndarray:
         return ula_jacobian(self._at(theta))
-
-
-class FunctionModel(SignalModel):
-    """Wrap plain callables as a model.
-
-    ``jacobian_fn`` may be omitted, in which case central finite
-    differences with the default step are used.
-    """
-
-    def __init__(
-        self,
-        n: int,
-        p: int,
-        mean_fn: Callable[[np.ndarray], np.ndarray],
-        jacobian_fn: Callable[[np.ndarray], np.ndarray] | None = None,
-    ):
-        if n < 1 or p < 1:
-            raise BadSpec(f"need n >= 1 and p >= 1, got n={n}, p={p}")
-        self._n = int(n)
-        self._p = int(p)
-        self._mean_fn = mean_fn
-        self._jacobian_fn = jacobian_fn
-
-    @property
-    def n(self) -> int:
-        return self._n
-
-    @property
-    def p(self) -> int:
-        return self._p
-
-    def mean(self, theta) -> np.ndarray:
-        theta = self._check_theta(theta)
-        x = as_complex_vector(self._mean_fn(theta), "mean")
-        if x.shape[0] != self._n:
-            raise BadShape(f"mean_fn returned length {x.shape[0]}, expected {self._n}")
-        return x
-
-    def jacobian(self, theta) -> np.ndarray:
-        theta = self._check_theta(theta)
-        if self._jacobian_fn is None:
-            return finite_diff_jacobian(self, theta)
-        g = np.asarray(self._jacobian_fn(theta), dtype=np.complex128)
-        if g.shape != (self._n, self._p):
-            raise BadShape(f"jacobian_fn returned shape {g.shape}, expected {(self._n, self._p)}")
-        return g
-
-
-def finite_diff_jacobian(model: SignalModel, theta, h: float = 1e-6) -> np.ndarray:
-    """Central-difference Jacobian of ``model.mean`` at ``theta``.
-
-    Second-order accurate in ``h``; intended as a cross-check for
-    analytic Jacobians, not as a production derivative.
-    """
-    theta = np.asarray(theta, dtype=np.float64).reshape(-1)
-    if h <= 0.0:
-        raise BadSpec(f"step must be positive, got h={h}")
-    g = np.empty((model.n, theta.shape[0]), dtype=np.complex128)
-    for i in range(theta.shape[0]):
-        lo = theta.copy()
-        hi = theta.copy()
-        lo[i] -= h
-        hi[i] += h
-        g[:, i] = (model.mean(hi) - model.mean(lo)) / (2.0 * h)
-    return g

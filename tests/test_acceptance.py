@@ -12,6 +12,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from oracles import finite_diff_jacobian, ks_two_sample
 
 from crbcompress import cli
 from crbcompress.betalaw import (
@@ -27,16 +28,10 @@ from crbcompress.betalaw import (
     moments,
 )
 from crbcompress.fisher import compressed_fim, crb, fim, normalized_fim
-from crbcompress.mcharness import ExperimentConfig, ks_two_sample, run
+from crbcompress.mcharness import ExperimentConfig, run
 from crbcompress.planner import PlanQuery, confidence_at, min_measurements
 from crbcompress.randcomp import FAMILIES, CompressorSpec, derive_stream, sample
-from crbcompress.sigmodel import (
-    Source,
-    UlaModel,
-    UlaScenario,
-    finite_diff_jacobian,
-    two_source_half_rayleigh,
-)
+from crbcompress.sigmodel import Source, UlaModel, UlaScenario, two_source_half_rayleigh
 
 
 @pytest.fixture(scope="module")
@@ -125,19 +120,23 @@ def test_criterion_5_universality_across_models_and_families():
     model = UlaModel(two_source_half_rayleigh(n))
     rng = np.random.default_rng(55)
     G_fixed = (rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))) / np.sqrt(2.0)
+    before_fixed = crb(fim(G_fixed), 0)
     batches = {}
     seed = 105
     for family in FAMILIES:
-        for tag, source_kw in (("doa", {"model": model}), ("raw", {"G": G_fixed})):
-            config = ExperimentConfig(
-                compressor=CompressorSpec(m=m, n=n, family=family, seed=seed),
-                trials=trials,
-                statistics=("crb_ratio",),
-                seed=seed,
-                **source_kw,
-            )
-            batches[(family, tag)] = run(config).samples["crb_ratio"]
-            seed += 1
+        spec = CompressorSpec(m=m, n=n, family=family, seed=seed)
+        config = ExperimentConfig(
+            compressor=spec, trials=trials, model=model, statistics=("crb_ratio",), seed=seed
+        )
+        batches[(family, "doa")] = run(config).samples["crb_ratio"]
+        # the random Jacobian goes through fisher directly, with the
+        # streams a campaign of the next seed would draw
+        spec = CompressorSpec(m=m, n=n, family=family, seed=seed + 1)
+        batches[(family, "raw")] = np.array([
+            before_fixed / crb(compressed_fim(G_fixed, sample(spec, derive_stream(seed + 1, t))), 0)
+            for t in range(trials)
+        ])
+        seed += 2
     keys = sorted(batches)
     for i, key_a in enumerate(keys):
         for key_b in keys[i + 1:]:
@@ -272,7 +271,7 @@ def test_criterion_10_ellipse_figure(tmp_path, capsys):
     model = UlaModel(two_source_half_rayleigh(128))
     G = model.jacobian(model.reference_theta)
     info = fim(G, 1.0)
-    spec = CompressorSpec(m=64, n=128, family="gaussian", element_variance=1.0 / 64, seed=110)
+    spec = CompressorSpec(m=64, n=128, family="gaussian", seed=110)
     after = compressed_fim(G, sample(spec, derive_stream(110, 0)), 1.0)
     a_before = 0.5 * (np.real(info.J) + np.real(info.J).T)
     a_after = 0.5 * (np.real(after.J) + np.real(after.J).T)

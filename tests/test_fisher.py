@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from crbcompress.errors import BadShape, NotPositiveDefinite, RankDeficient, SingularFim
+from crbcompress.errors import BadShape, RankDeficient, SingularFim
 from crbcompress.fisher import (
-    compressed_crb,
     compressed_fim,
     compressed_kl,
     crb,
@@ -158,7 +157,7 @@ def test_crb_ratio_real_and_complex_forms():
     gaps = []
     for phi in phis:
         complex_ratio, real_ratio = _crb_ratios_in_both_forms(g_two, phi, 0)
-        library = crb(fim(g_two), 0) / compressed_crb(g_two, phi, 1.0, 0)
+        library = crb(fim(g_two), 0) / crb(compressed_fim(g_two, phi, 1.0), 0)
         np.testing.assert_allclose(complex_ratio, library, rtol=1e-10)
         gaps.append(abs(real_ratio - complex_ratio))
     assert max(gaps) > 1e-6
@@ -215,7 +214,7 @@ def test_compression_never_improves_the_bound():
     for trial in range(50):
         spec = CompressorSpec(m=8, n=24, family="gaussian", seed=4)
         phi = sample(spec, derive_stream(4, trial))
-        after = compressed_crb(g, phi, 1.0, 0)
+        after = crb(compressed_fim(g, phi, 1.0), 0)
         assert after >= before * (1.0 - 1e-10)
 
 
@@ -228,7 +227,7 @@ def test_compressed_crb_mean_inflation():
     total = 0.0
     for trial in range(trials):
         phi = sample(CompressorSpec(m=m, n=n, family="gaussian", seed=7), derive_stream(7, trial))
-        total += compressed_crb(g, phi, 1.0, 0) / before
+        total += crb(compressed_fim(g, phi, 1.0), 0) / before
     expected = (n - p) / (m - p)
     assert abs(total / trials - expected) < 0.05 * expected
 
@@ -259,7 +258,7 @@ def test_normalized_fim_spectrum_in_unit_interval():
 def test_kl_zero_for_equal_means():
     rng = np.random.default_rng(41)
     x = _random_complex(rng, 6)
-    assert kl_divergence(x, x.copy(), np.eye(6)) == 0.0
+    assert kl_divergence(x, x.copy()) == 0.0
 
 
 def test_kl_identity_covariance():
@@ -267,32 +266,35 @@ def test_kl_identity_covariance():
     x1 = _random_complex(rng, 5)
     x2 = _random_complex(rng, 5)
     np.testing.assert_allclose(
-        kl_divergence(x1, x2, 2.0 * np.eye(5)), np.sum(np.abs(x1 - x2) ** 2) / 2.0, rtol=1e-12
+        kl_divergence(x1, x2, 2.0), np.sum(np.abs(x1 - x2) ** 2) / 2.0, rtol=1e-12
     )
+    with pytest.raises(BadShape):
+        kl_divergence(x1, x2, 0.0)
+    with pytest.raises(BadShape):
+        kl_divergence(x1, x2[:4])
 
 
 def test_kl_matches_explicit_inverse():
+    # the compressed data Phi x has covariance sigma2 Phi Phi^H; invert it
     rng = np.random.default_rng(43)
-    b = _random_complex(rng, (6, 6))
-    c = b.conj().T @ b + np.eye(6)
     x1 = _random_complex(rng, 6)
     x2 = _random_complex(rng, 6)
-    delta = x1 - x2
-    expected = np.real(delta.conj() @ np.linalg.inv(c) @ delta)
-    np.testing.assert_allclose(kl_divergence(x1, x2, c), expected, rtol=1e-10)
-    with pytest.raises(NotPositiveDefinite):
-        kl_divergence(x1, x2, np.zeros((6, 6)))
+    phi = _random_complex(rng, (4, 6))
+    sigma2 = 1.7
+    d = phi @ (x1 - x2)
+    expected = np.real(d.conj() @ np.linalg.inv(sigma2 * phi @ phi.conj().T) @ d)
+    np.testing.assert_allclose(compressed_kl(x1, x2, sigma2, phi), expected, rtol=1e-10)
+    with pytest.raises(BadShape):
+        compressed_kl(x1, x2, 0.0, phi)
 
 
 def test_compressed_kl_invertible_map_changes_nothing():
     rng = np.random.default_rng(44)
-    b = _random_complex(rng, (6, 6))
-    c = b.conj().T @ b + np.eye(6)
     x1 = _random_complex(rng, 6)
     x2 = _random_complex(rng, 6)
     phi = _random_complex(rng, (6, 6)) + 2.0 * np.eye(6)
     np.testing.assert_allclose(
-        compressed_kl(x1, x2, c, phi), kl_divergence(x1, x2, c), rtol=1e-10
+        compressed_kl(x1, x2, 1.7, phi), kl_divergence(x1, x2, 1.7), rtol=1e-10
     )
 
 
@@ -308,11 +310,11 @@ def test_compressed_kl_projector_form_for_white_noise():
     delta = x1 - x2
     expected = np.real(delta.conj() @ p @ delta) / sigma2
     np.testing.assert_allclose(
-        compressed_kl(x1, x2, sigma2 * np.eye(10), phi), expected, rtol=1e-10
+        compressed_kl(x1, x2, sigma2, phi), expected, rtol=1e-10
     )
     row = _random_complex(rng, (1, 10))
     with pytest.raises(RankDeficient):
-        compressed_kl(x1, x2, np.eye(10), np.vstack([row, 2.0 * row]))
+        compressed_kl(x1, x2, 1.0, np.vstack([row, 2.0 * row]))
 
 
 def test_compressed_kl_ratio_mean():
@@ -321,10 +323,9 @@ def test_compressed_kl_ratio_mean():
     model = UlaModel(two_source_half_rayleigh(n))
     x1 = model.mean(model.reference_theta)
     x2 = model.mean(model.reference_theta + np.array([0.01, -0.02]))
-    c = np.eye(n)
-    before = kl_divergence(x1, x2, c)
+    before = kl_divergence(x1, x2)
     total = 0.0
     for trial in range(trials):
         phi = sample(CompressorSpec(m=m, n=n, family="gaussian", seed=3), derive_stream(3, trial))
-        total += compressed_kl(x1, x2, c, phi) / before
+        total += compressed_kl(x1, x2, 1.0, phi) / before
     assert abs(total / trials - m / n) < 0.02 * (m / n)

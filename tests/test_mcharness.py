@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.stats
+from oracles import ks_two_sample
 
 from crbcompress.betalaw import BetaLaw, beta_cdf, beta_pdf, beta_quantile, crb_ratio_law
 from crbcompress.errors import BadShape, BadSpec, DomainError, RankDeficient, SingularFim, TooFewSamples
@@ -11,7 +12,6 @@ from crbcompress.mcharness import (
     ExperimentConfig,
     histogram,
     ks_one_sample,
-    ks_two_sample,
     run,
 )
 from crbcompress.randcomp import FAMILIES, CompressorSpec, derive_stream, sample
@@ -152,6 +152,15 @@ def test_run_seed_falls_back_to_compressor_seed():
     assert not np.array_equal(implicit.samples["crb_ratio"], moved.samples["crb_ratio"])
 
 
+def test_run_rejects_seeds_that_would_collide():
+    # a float seed used to run as its integer part, and 2**64 as seed 0
+    for seed in (1.5, True, -1, 2**64):
+        config = _doa_config(16, 6, 100)
+        config.seed = seed
+        with pytest.raises(BadSpec):
+            run(config)
+
+
 def test_run_validation():
     with pytest.raises(BadSpec):
         run(_doa_config(16, 6, 100, statistics=("nope",)))
@@ -169,16 +178,6 @@ def test_run_validation():
         run(_doa_config(16, 15, 100))  # m > n - p without the override
     with pytest.raises(BadSpec):
         run(_doa_config(16, 6, 100, statistics=("kl_ratio",)))  # no theta_alt
-    model = UlaModel(two_source_half_rayleigh(16))
-    with pytest.raises(BadSpec):
-        run(
-            ExperimentConfig(
-                compressor=CompressorSpec(m=6, n=16),
-                trials=100,
-                model=model,
-                G=model.jacobian(model.reference_theta),
-            )
-        )
     with pytest.raises(BadSpec):
         run(ExperimentConfig(compressor=CompressorSpec(m=6, n=16), trials=100))
     with pytest.raises(BadSpec):

@@ -9,7 +9,7 @@ import scipy.stats
 from crbcompress.betalaw import beta_cdf, beta_pdf, beta_sf, beta_tails_pdf, crb_ratio_law
 from crbcompress import betalaw, planner
 from crbcompress.errors import BadShape, DomainError, Infeasible, NoConvergence, NotPositiveDefinite
-from crbcompress.fisher import compressed_crb, crb, fim
+from crbcompress.fisher import compressed_fim, crb, fim
 from crbcompress.planner import (
     PlanQuery,
     confidence_at,
@@ -229,7 +229,7 @@ def test_min_measurements_agrees_with_monte_carlo():
     hits = 0
     spec = CompressorSpec(m=m_star, n=n, family="gaussian", seed=17)
     for t in range(trials):
-        after = compressed_crb(g, sample(spec, derive_stream(17, t)), 1.0, 0)
+        after = crb(compressed_fim(g, sample(spec, derive_stream(17, t)), 1.0), 0)
         hits += after <= kappa * before
     predicted = confidence_at(n, m_star, p, kappa)
     sigma = np.sqrt(predicted * (1.0 - predicted) / trials)

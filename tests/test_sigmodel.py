@@ -1,17 +1,16 @@
-"""Line-array mean map, analytic Jacobian, and the callable wrapper."""
+"""Line-array mean map and analytic Jacobian."""
 
 import math
 
 import numpy as np
 import pytest
+from oracles import finite_diff_jacobian
 
 from crbcompress.errors import BadShape, BadSpec
 from crbcompress.sigmodel import (
-    FunctionModel,
     Source,
     UlaModel,
     UlaScenario,
-    finite_diff_jacobian,
     two_source_half_rayleigh,
     ula_jacobian,
     ula_mean,
@@ -93,30 +92,6 @@ def test_ula_model_substitutes_angles():
     np.testing.assert_array_equal(model.mean([0.5, 1.0]), ula_mean(moved))
 
 
-def test_function_model_linear_map():
-    rng = np.random.default_rng(21)
-    m = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
-    model = FunctionModel(n=5, p=3, mean_fn=lambda th: m @ th)
-    theta = np.array([0.3, -0.7, 1.2])
-    np.testing.assert_allclose(model.jacobian(theta), m, atol=1e-8)
-    exact = FunctionModel(n=5, p=3, mean_fn=lambda th: m @ th, jacobian_fn=lambda th: m)
-    np.testing.assert_array_equal(exact.jacobian(theta), m)
-
-
-def test_function_model_quadratic_map():
-    def mean_fn(th):
-        return np.array([th[0] ** 2, th[0] * th[1], th[1] ** 2, th[0] + th[1]], dtype=complex)
-
-    def jac_fn(th):
-        return np.array(
-            [[2 * th[0], 0.0], [th[1], th[0]], [0.0, 2 * th[1]], [1.0, 1.0]], dtype=complex
-        )
-
-    model = FunctionModel(n=4, p=2, mean_fn=mean_fn)
-    theta = np.array([0.8, -0.6])
-    np.testing.assert_allclose(model.jacobian(theta), jac_fn(theta), atol=1e-8)
-
-
 def test_scenario_validation():
     with pytest.raises(BadSpec):
         UlaScenario(n=1, sources=(Source(0.0),))
@@ -134,10 +109,7 @@ def test_theta_validation():
         model.mean([0.1, 0.2, 0.3])
     with pytest.raises(BadShape):
         model.mean([0.1, math.nan])
-    bad = FunctionModel(n=4, p=1, mean_fn=lambda th: np.ones(3, dtype=complex))
     with pytest.raises(BadShape):
-        bad.mean([0.0])
+        model.jacobian([0.1])
     with pytest.raises(BadSpec):
         finite_diff_jacobian(model, [0.0, 0.1], h=0.0)
-    with pytest.raises(BadSpec):
-        FunctionModel(n=0, p=1, mean_fn=lambda th: np.ones(1))
