@@ -66,11 +66,11 @@ _NUMERICAL_ERRORS = (
 )
 
 
-# parsed values a config file cannot set: the subcommand, the config file
-# itself, the output directory, the figure selector, and the per-source
+# parsed values a config file cannot set: the subcommand, help, the config
+# file itself, the output directory, the figure selector, and the per-source
 # lists (a file gives scenario.sources instead)
 _FLAG_ONLY = frozenset(
-    {"command", "func", "config", "out", "which", "theta", "amplitudes", "phases"}
+    {"command", "func", "help", "config", "out", "which", "theta", "amplitudes", "phases"}
 )
 # keys a nested config object may hold; each beats the same top-level key
 _NESTED = {"scenario": ("n", "sources"), "compressor": ("m", "family")}
@@ -96,11 +96,12 @@ def _default_seed() -> int:
         raise BadSpec(f"CRB_COMPRESS_SEED must be an integer, got {env!r}") from exc
 
 
-def _load_config(path: str, options) -> dict:
+def _load_config(path: str, options, known) -> dict:
     """The values the JSON file at ``path`` gives for ``options``.
 
     The nested ``scenario`` and ``compressor`` objects are laid over the
-    top-level keys; keys that name no option are ignored.
+    top-level keys.  A key no subcommand has (``known``), a flag-only or
+    an unknown nested key is a BadSpec; another subcommand's is skipped.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -111,13 +112,18 @@ def _load_config(path: str, options) -> dict:
         raise BadSpec(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise BadSpec(f"config file {path} must hold a JSON object")
+    for key in cfg:
+        if key in _FLAG_ONLY or key not in known | _NESTED.keys():
+            raise BadSpec(f"config key {key!r} names no option a file can set")
     values = dict(cfg)
     for name, keys in _NESTED.items():
         nested = cfg.get(name, {})
         if not isinstance(nested, dict):
             raise BadSpec(f"config key {name!r} must be an object")
-        values.update((k, nested[k]) for k in keys if k in nested)
-    values = {k: v for k, v in values.items() if k in options and k not in _FLAG_ONLY}
+        if set(nested) - set(keys):
+            raise BadSpec(f"config key {name!r} holds {sorted(nested)}, expected some of {keys}")
+        values.update(nested)
+    values = {k: v for k, v in values.items() if k in options}
     for key in ("n", "seed"):
         if key in values and not isinstance(values[key], int):
             raise BadSpec(f"{key} must be an integer, got {values[key]!r}")
@@ -410,8 +416,14 @@ def _cmd_plan(args, out: Path | None):
 # ---------------------------------------------------------------- ellipse
 
 
+def _real_form(info: fisher.FimResult) -> fisher.FimResult:
+    """The information of the stacked real Jacobian [Re G; Im G]: J is Re(G^H G) / sigma2."""
+    return fisher.fim(np.vstack([info.G.real, info.G.imag]), info.sigma2)
+
+
 def _ellipse_curves(scenario: UlaScenario, sigma2: float, spec: CompressorSpec,
                     draws: int, r2: float | None, points: int):
+    """Loci e^T Re(J) e = r2 before and after each draw, and lambda_max of each draw's real-form W."""
     model = UlaModel(scenario)
     if model.p != 2:
         raise BadSpec(f"ellipse loci need a two-parameter scenario, got p={model.p}")
@@ -420,18 +432,12 @@ def _ellipse_curves(scenario: UlaScenario, sigma2: float, spec: CompressorSpec,
     level = float(np.real(info.J[0, 0])) if r2 is None else float(r2)
     curves = [(0, planner.ellipse_locus(info.J, level, points))]
     lam_max = []
-    a_before = np.real(info.J)
-    a_before = 0.5 * (a_before + a_before.T)
-    L = np.linalg.cholesky(a_before)
+    real_before = _real_form(info)
     for d in range(draws):
-        rng = derive_stream(spec.seed, d)
-        phi = sample(spec, rng)
-        after = fisher.compressed_fim(G, phi, sigma2)
+        after = fisher.compressed_fim(G, sample(spec, derive_stream(spec.seed, d)), sigma2)
         curves.append((d + 1, planner.ellipse_locus(after.J, level, points)))
-        a_after = np.real(after.J)
-        a_after = 0.5 * (a_after + a_after.T)
-        white = np.linalg.solve(L, np.linalg.solve(L, a_after.T).T)
-        lam_max.append(float(np.linalg.eigvalsh(0.5 * (white + white.T))[-1]))
+        w = fisher.normalized_fim(real_before, _real_form(after))
+        lam_max.append(float(np.linalg.eigvalsh(w)[-1]))
     return level, curves, lam_max
 
 
@@ -446,7 +452,7 @@ def _write_ellipse_outputs(out: Path, prefix: str, level: float, curves, lam_max
     span = 1.1 * float(np.max(np.abs(all_pts)))
     canvas = svgfig.SvgCanvas(
         xlim=(-span, span), ylim=(-span, span), width=560, height=560,
-        title="CRB concentration ellipses", xlabel="e1", ylabel="e2",
+        title="Concentration ellipses e^T Re(J) e = r^2", xlabel="e1", ylabel="e2",
     )
     for curve_id, locus in curves[1:]:
         canvas.polyline(locus[:, 0], locus[:, 1], color="#b0c8e0", width=0.8, close=True)
@@ -458,6 +464,7 @@ def _write_ellipse_outputs(out: Path, prefix: str, level: float, curves, lam_max
     _write_json(
         out / metrics_name,
         {
+            "form": "e^T Re(J) e = r2, the real-parameter information",
             "r2": level,
             "draws": len(lam_max),
             "lambda_max": lam_max,
@@ -685,7 +692,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     _add_scenario_flags(sub)
     _add_compressor_flags(sub)
     sub.add_argument("--draws", type=int, default=100, help="compressor draws")
-    sub.add_argument("--r2", type=float, default=None, help="ellipse level; None means Re(J)_00")
+    sub.add_argument("--r2", type=float, default=None, help="level of e^T Re(J) e = r2; None means Re(J)_00")
     sub.add_argument("--points", type=int, default=256, help="points per ellipse")
 
     sub = add("figures", "reproduce the demonstration figures", _cmd_figures)
@@ -713,7 +720,9 @@ def main(argv=None) -> int:
         t0 = time.perf_counter()
         if args.config is not None:
             # the file's values become defaults, so flags still beat them
-            subparsers[args.command].set_defaults(**_load_config(args.config, vars(args)))
+            known = {name for sub in subparsers.values()
+                     for name in [*sub._defaults, *(a.dest for a in sub._actions)]}
+            subparsers[args.command].set_defaults(**_load_config(args.config, vars(args), known))
             args = parser.parse_args(argv)
         if args.seed is None:
             args.seed = _default_seed()

@@ -12,12 +12,16 @@ divergence between two mean vectors is the same computation for the
 single column x1 - x2, so ``compressed_kl`` and ``compressed_fim``
 share one row-space projection.  Arbitrary Jacobians enter through
 ``fim``, ``compressed_fim`` and ``crb``.
+``normalized_fim`` alone forms W = J^{-1/2} Jhat J^{-1/2}, for each
+Monte Carlo trial and, on the real-form pair (Re J, Re Jhat) of the
+stacked real Jacobian [Re G; Im G], for the CLI's ellipses.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -48,6 +52,11 @@ class FimResult:
     @property
     def p(self) -> int:
         return self.G.shape[1]
+
+    @cached_property
+    def inv_sqrt(self) -> np.ndarray:
+        """J^{-1/2}, factored on first use and kept, so whitening many draws factors J once."""
+        return cxla.hermitian_inv_sqrt(self.J)
 
 
 def _noise_power(sigma2) -> float:
@@ -140,28 +149,20 @@ def compressed_fim(G, phi, sigma2: float = 1.0) -> FimResult:
     return FimResult(J=j_hat, G=g_hat, sigma2=sigma2)
 
 
-@dataclass(frozen=True)
-class NormalizedFim:
+def normalized_fim(before: FimResult, after: FimResult) -> np.ndarray:
     """Whitened compressed information W = S Jhat S with S = J^{-1/2}.
 
     W lives in [0, I] in the Loewner order; its spectrum measures the
-    fraction of information surviving compression per direction.
+    fraction of information surviving compression per direction.  S is
+    ``before.inv_sqrt``, so J is factored once however many ``after``
+    it whitens.
     """
-
-    W: np.ndarray
-    before: FimResult
-    after: FimResult
-
-
-def normalized_fim(before: FimResult, after: FimResult) -> NormalizedFim:
-    """Whiten the compressed information by the uncompressed one."""
     if before.J.shape != after.J.shape:
         raise BadShape(
             f"information matrices disagree in size: {before.J.shape} vs {after.J.shape}"
         )
-    s = cxla.hermitian_inv_sqrt(before.J)
-    w = cxla.hermitian_part(s @ after.J @ s)
-    return NormalizedFim(W=w, before=before, after=after)
+    s = before.inv_sqrt
+    return cxla.hermitian_part(s @ after.J @ s)
 
 
 def _mean_difference(x1, x2) -> np.ndarray:

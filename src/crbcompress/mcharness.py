@@ -40,7 +40,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import betalaw, cxla, fisher
+from . import betalaw, fisher
 from .errors import BadShape, BadSpec, DomainError, RankDeficient, SingularFim, TooFewSamples
 from .randcomp import CompressorSpec, check_key, derive_stream, sample
 from .sigmodel import UlaModel
@@ -65,8 +65,8 @@ class _Statistic:
 _TABLE = {
     "crb_ratio": _Statistic(0, "crb_before", betalaw.crb_ratio_law),
     "kl_ratio": _Statistic(0, "kl_reference", lambda n, m, p: betalaw.kl_ratio_law(n, m)),
-    "w_eigenvalues": _Statistic(1, "whitener"),
-    "w_mean": _Statistic(2, "whitener"),
+    "w_eigenvalues": _Statistic(1, "information"),
+    "w_mean": _Statistic(2, "information"),
     "fim_mean": _Statistic(2, "information"),
 }
 STATISTICS = tuple(_TABLE)
@@ -247,10 +247,6 @@ class _Campaign:
             raise DomainError("theta_alt coincides with the reference point; the KL ratio is undefined")
         return x_ref, x_alt, kl_before
 
-    @cached_property
-    def whitener(self) -> np.ndarray:
-        return cxla.hermitian_inv_sqrt(self.information.J)
-
     def trial(self, t: int) -> list:
         """The trial kernel: trial t's requested values; SingularFim or RankDeficient if degenerate."""
         trial = _Trial(self, sample(self.config.compressor, derive_stream(self.seed, t)))
@@ -269,8 +265,7 @@ class _Trial:
 
     @cached_property
     def w(self) -> np.ndarray:
-        whitener = self.campaign.whitener
-        return cxla.hermitian_part(whitener @ self.after.J @ whitener)
+        return fisher.normalized_fim(self.campaign.information, self.after)
 
     @property
     def crb_ratio(self) -> float:

@@ -1,10 +1,14 @@
 """Samplers for random compression matrices.
 
-All three families are right-orthogonally invariant, which is the only
+Both families are right-orthogonally invariant, which is the only
 property the loss laws need: the row-space projector of a draw is then
-uniform over the Grassmannian.  Entries are drawn at unit variance;
-any other scale would leave the row space, and so every statistic,
-unchanged.
+uniform over the Grassmannian.  ``stiefel`` orthonormalizes a
+``gaussian`` draw, keeping its row space, for rows with Phi Phi^H = I.
+Entries are drawn at unit variance; any other scale would leave the
+row space, and so every statistic, unchanged.  For the same reason
+``spherical_rows`` was removed: it gave each gaussian row's direction
+an independent sqrt(chi^2_2n / 2) radius, which makes a CN(0, I_n) row
+again, and row scaling leaves the row space as it was.
 
 Streams are counter based: ``derive_stream(seed, trial)`` keys a Philox
 generator with the pair, so any trial of any campaign can be regenerated
@@ -21,7 +25,7 @@ import numpy as np
 
 from .errors import BadSpec
 
-FAMILIES = ("gaussian", "stiefel", "spherical_rows")
+FAMILIES = ("gaussian", "stiefel")
 
 
 def check_key(value, name: str = "seed") -> int:
@@ -80,21 +84,10 @@ def _haar_row_frame(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
     return q.conj().T
 
 
-def _spherical_rows(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
-    g = _complex_gaussian(rng, m, n)
-    norms = np.linalg.norm(g, axis=1, keepdims=True)
-    directions = g / norms
-    # Radius of a CN(0, I_n) vector: sqrt(1/2) times a chi with 2n dof.
-    radii = np.sqrt(rng.chisquare(2 * n, size=(m, 1)) / 2.0)
-    return radii * directions
-
-
 def sample(spec: CompressorSpec, rng: np.random.Generator) -> np.ndarray:
     """Draw one m-by-n compressor from the ensemble ``spec``."""
     if spec.family == "gaussian":
         return _complex_gaussian(rng, spec.m, spec.n)
     if spec.family == "stiefel":
         return _haar_row_frame(rng, spec.m, spec.n)
-    if spec.family == "spherical_rows":
-        return _spherical_rows(rng, spec.m, spec.n)
     raise BadSpec(f"unknown family {spec.family!r}")

@@ -97,6 +97,7 @@ def test_argparse_problems_exit_one(capsys):
     assert cli.main(["dist", "--nope"]) == 1
     assert cli.main(["no-such-command"]) == 1
     assert cli.main(["dist", "--eval", "cdf", "--at", "0.5"]) == 1  # --law missing
+    assert cli.main(["simulate", "--n", "16", "--m", "6", "--family", "spherical_rows"]) == 1
     assert cli.main([]) == 1
     capsys.readouterr()
 
@@ -284,6 +285,8 @@ def test_ellipse_outputs(tmp_path, capsys):
     assert metrics["r2"] > 0.0
     svg = (out / "ellipse.svg").read_text()
     assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
+    # the loci and lambda_max are those of the real-parameter form
+    assert "Re(J)" in metrics["form"] and "Re(J)" in svg
 
 
 def test_ellipse_needs_two_parameters(tmp_path, capsys):
@@ -402,3 +405,25 @@ def test_ellipse_reads_compressor_m_from_config(tmp_path, capsys):
     capsys.readouterr()
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["compressor"]["m"] == 6
+
+
+def test_config_keys_that_name_no_option_are_errors(tmp_path, capsys):
+    # a misspelled key used to run silently with the option's default
+    cases = [
+        ({"histogram_bin": 7, "compressor": {"m": 6, "element_variance": 0.5}, "n": 16,
+          "trials": 20}, "histogram_bin"),
+        ({"compressor": {"m": 6, "element_variance": 0.5}, "n": 16, "trials": 20},
+         "element_variance"),
+        ({"scenario": {"n": 16, "type": "ula"}, "m": 6, "trials": 20}, "type"),
+    ]
+    # the per-source lists have no key; a file gives scenario.sources
+    cases += [({key: [0.1, 0.3], "n": 16, "m": 6, "trials": 20}, key)
+              for key in ("theta", "amplitudes", "phases")]
+    for cfg, key in cases:
+        assert cli.main(["simulate", "--config", _write_config(tmp_path, cfg)]) == 1
+        assert key in capsys.readouterr().err
+    # another subcommand's key is skipped, so one file serves simulate and figures
+    cfg = _write_config(tmp_path, {"bins": 12, "histogram_bins": 7, "n": 16, "m": 6,
+                                   "trials": 20, "seed": 1})
+    assert cli.main(["simulate", "--config", cfg]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["histogram_bins"] == 7

@@ -236,10 +236,10 @@ def test_normalized_fim_identity_and_scaling():
     rng = np.random.default_rng(40)
     g = _random_complex(rng, (10, 3))
     before = fim(g)
-    w_same = normalized_fim(before, before).W
+    w_same = normalized_fim(before, before)
     np.testing.assert_allclose(w_same, np.eye(3), atol=1e-12)
     half = fim(g / np.sqrt(2.0))
-    np.testing.assert_allclose(normalized_fim(before, half).W, 0.5 * np.eye(3), atol=1e-12)
+    np.testing.assert_allclose(normalized_fim(before, half), 0.5 * np.eye(3), atol=1e-12)
     with pytest.raises(BadShape):
         normalized_fim(before, fim(_random_complex(rng, (10, 2))))
 
@@ -250,7 +250,7 @@ def test_normalized_fim_spectrum_in_unit_interval():
     before = fim(g)
     for trial in range(40):
         phi = sample(CompressorSpec(m=6, n=20, family="stiefel", seed=9), derive_stream(9, trial))
-        w = normalized_fim(before, compressed_fim(g, phi)).W
+        w = normalized_fim(before, compressed_fim(g, phi))
         eigs = np.linalg.eigvalsh(w)
         assert eigs[0] > -1e-10 and eigs[-1] < 1.0 + 1e-10
 

@@ -5,10 +5,13 @@ import pytest
 import scipy.stats
 from oracles import ks_two_sample
 
+from crbcompress import cxla
 from crbcompress.betalaw import BetaLaw, beta_cdf, beta_pdf, beta_quantile, crb_ratio_law
 from crbcompress.errors import BadShape, BadSpec, DomainError, RankDeficient, SingularFim, TooFewSamples
+from crbcompress.fisher import compressed_fim, fim, normalized_fim
 from crbcompress.mcharness import (
     STATISTICS,
+    _Campaign,
     ExperimentConfig,
     histogram,
     ks_one_sample,
@@ -277,6 +280,31 @@ def test_run_spectrum_statistics():
     with pytest.warns(UserWarning):
         full = run(ident)
     np.testing.assert_allclose(full.samples["w_eigenvalues"], 1.0, atol=1e-10)
+
+
+def test_w_is_normalized_fim_of_each_draw_with_one_factorization(monkeypatch):
+    real = cxla.hermitian_inv_sqrt
+    calls = []
+
+    def counted(a):
+        calls.append(a)
+        return real(a)
+
+    monkeypatch.setattr(cxla, "hermitian_inv_sqrt", counted)
+    names = ("w_eigenvalues", "w_mean")
+    config = _doa_config(16, 6, 40, seed=19, statistics=names)
+    summary = run(config)
+    assert len(calls) == 1  # J is factored once per campaign
+    campaign = _Campaign(config, names)
+    G = config.model.jacobian(config.model.reference_theta)
+    before = fim(G, config.sigma2)
+    ws = []
+    for t in range(config.trials):
+        w = normalized_fim(before, compressed_fim(G, sample(config.compressor, derive_stream(19, t))))
+        np.testing.assert_array_equal(campaign.trial(t)[1], w)
+        np.testing.assert_array_equal(summary.samples["w_eigenvalues"][t], np.linalg.eigvalsh(w))
+        ws.append(w)
+    np.testing.assert_array_equal(summary.w_mean, np.mean(ws, axis=0))
 
 
 def test_run_matrix_means_approach_their_laws():

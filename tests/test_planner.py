@@ -320,7 +320,7 @@ def test_compressed_ellipse_always_encloses_the_uncompressed_one():
     g = model.jacobian(model.reference_theta)
     before = fim(g)
     L = np.linalg.cholesky(np.real(before.J))
-    spec = CompressorSpec(m=m, n=n, family="spherical_rows", seed=23)
+    spec = CompressorSpec(m=m, n=n, family="gaussian", seed=23)
     from crbcompress.fisher import compressed_fim
 
     for t in range(50):
