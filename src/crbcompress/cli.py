@@ -19,10 +19,13 @@ Exit codes: 0 on success, 1 on configuration or usage errors, 2 on
 numerical failures (reported as a JSON object on stderr).
 
 Every subcommand but ``dist`` reads option values from the JSON object
-named by ``--config`` (see the README for its keys): a flag beats the
-file, and the file beats the built-in default.  A seed set neither way
-comes from the environment variable CRB_COMPRESS_SEED, else 0.
-``--out`` names a directory for the outputs and a ``manifest.json``.
+named by ``--config`` (see the README for its keys), each checked as
+its flag's value is: a flag beats the file, and the file beats the
+built-in default.  A seed set neither way comes from the environment
+variable CRB_COMPRESS_SEED, else 0.  ``--out`` names a directory for
+the outputs and a ``manifest.json`` whose ``config`` records the
+resolved options in the keys and types a ``--config`` file takes, so
+feeding it back reruns the command.
 """
 
 from __future__ import annotations
@@ -74,16 +77,15 @@ _FLAG_ONLY = frozenset(
 )
 # keys a nested config object may hold; each beats the same top-level key
 _NESTED = {"scenario": ("n", "sources"), "compressor": ("m", "family")}
+# the keys of a scenario.sources entry and their defaults
+_SOURCE_FIELDS = {f.name: f.default for f in dataclasses.fields(Source)}
+# the JSON values a config file may give an option of each flag type
+_JSON_TYPES = {int: int, float: (int, float), str: str, bool: bool}
 
 
-def _float_list(value) -> list[float]:
-    """A comma separated flag string or a config file's JSON list, as floats."""
-    if not isinstance(value, str):
-        return [float(v) for v in value]
-    try:
-        return [float(tok) for tok in value.split(",") if tok.strip() != ""]
-    except ValueError as exc:
-        raise BadSpec(f"could not parse float list {value!r}: {exc}") from exc
+def _float_list(text: str) -> list[float]:
+    """A comma separated flag value, as floats."""
+    return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
 def _default_seed() -> int:
@@ -96,24 +98,81 @@ def _default_seed() -> int:
         raise BadSpec(f"CRB_COMPRESS_SEED must be an integer, got {env!r}") from exc
 
 
-def _load_config(path: str, options, known) -> dict:
-    """The values the JSON file at ``path`` gives for ``options``.
+def _options(sub: argparse.ArgumentParser) -> dict:
+    """The options a config file may set for ``sub``, in parse order: name -> its flag's action.
 
-    The nested ``scenario`` and ``compressor`` objects are laid over the
-    top-level keys.  A key no subcommand has (``known``), a flag-only or
-    an unknown nested key is a BadSpec; another subcommand's is skipped.
+    ``sources`` and the seed of fisher and plan have no flag; their action is None.
+    """
+    actions = {a.dest: a for a in sub._actions}
+    names = [*actions, *(k for k in sub._defaults if k not in actions)]
+    return {k: actions.get(k) for k in names if k not in _FLAG_ONLY}
+
+
+def _file_scalar(key: str, value, kind: type, choices):
+    """One value of option ``key`` as its flag would give it; a string is the flag's text."""
+    # bool is an int to Python, so only a bool option takes one
+    ok = (isinstance(value, str) and kind is not bool) or (
+        isinstance(value, _JSON_TYPES[kind]) and (kind is bool or not isinstance(value, bool)))
+    try:
+        parsed = kind(value) if ok else None
+    except (ValueError, OverflowError):
+        ok = False
+    if not ok or (choices is not None and parsed not in choices):
+        expected = kind.__name__ if choices is None else f"one of {list(choices)}"
+        raise BadSpec(f"config key {key!r} must be {expected}, got {value!r}")
+    return parsed
+
+
+def _file_source(entry) -> dict:
+    """A scenario.sources entry: an object with a number ``theta`` and optional ``amplitude`` and ``phase``."""
+    if not isinstance(entry, dict) or "theta" not in entry:
+        raise BadSpec(f"config key 'sources' needs objects with a 'theta' key, got {entry!r}")
+    for key, value in entry.items():
+        if key not in _SOURCE_FIELDS or isinstance(value, str):
+            raise BadSpec(f"config key 'sources' entries map some of {list(_SOURCE_FIELDS)} "
+                          f"to numbers, got {key!r}: {value!r}")
+    return {k: _file_scalar(k, entry.get(k, default), float, None) for k, default in _SOURCE_FIELDS.items()}
+
+
+def _file_value(key: str, value, action):
+    """The value a config file gives option ``key`` (flag ``action``), checked like the flag's."""
+    if value is None and (action is None or action.default is None):
+        return None
+    if action is None and key != "sources":  # the seed of fisher and plan
+        return _file_scalar(key, value, int, None)
+    many = action is None or isinstance(action, _AppendOver) or action.type is _float_list
+    if not many:
+        return _file_scalar(key, value, bool if action.nargs == 0 else action.type, action.choices)
+    if not isinstance(value, list):
+        raise BadSpec(f"config key {key!r} must be a list, got {value!r}")
+    if action is None:  # sources
+        return [_file_source(entry) for entry in value]
+    kind = str if action.type is None else float
+    return [_file_scalar(key, v, kind, action.choices) for v in value]
+
+
+def _load_config(path: str, options: dict, known: set) -> dict:
+    """The values the JSON object in the file at ``path`` gives for ``options``.
+
+    The file takes the keys and types of the run record (``_record``):
+    option names, with the nested ``scenario`` and ``compressor`` objects
+    laid over the top-level keys.  Each value gets the check its flag
+    gets (a string is parsed as the flag's text; list options need a
+    list).  A key no subcommand has (``known``), a flag-only or an
+    unknown nested key, or a value that fails its check is a BadSpec
+    naming the key; another subcommand's key is skipped.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
     except OSError as exc:
         raise BadSpec(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or an integer past Python's digit limit
         raise BadSpec(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise BadSpec(f"config file {path} must hold a JSON object")
     for key in cfg:
-        if key in _FLAG_ONLY or key not in known | _NESTED.keys():
+        if key not in known | _NESTED.keys():
             raise BadSpec(f"config key {key!r} names no option a file can set")
     values = dict(cfg)
     for name, keys in _NESTED.items():
@@ -123,57 +182,42 @@ def _load_config(path: str, options, known) -> dict:
         if set(nested) - set(keys):
             raise BadSpec(f"config key {name!r} holds {sorted(nested)}, expected some of {keys}")
         values.update(nested)
-    values = {k: v for k, v in values.items() if k in options}
-    for key in ("n", "seed"):
-        if key in values and not isinstance(values[key], int):
-            raise BadSpec(f"{key} must be an integer, got {values[key]!r}")
-    return values
+    return {k: _file_value(k, v, options[k]) for k, v in values.items() if k in options}
+
+
+def _record(args, options: dict) -> dict:
+    """The run record: the resolved values of ``options``, in the layout ``_load_config`` reads."""
+    # a nested object is written where the subcommand has all its keys
+    groups = {k: g for g, keys in _NESTED.items() if set(keys) <= options.keys() for k in keys}
+    record = {}
+    for name in options:
+        target = record.setdefault(groups[name], {}) if name in groups else record
+        target[name] = getattr(args, name)
+    return record
+
+
+def _resolve_sources(args) -> list[dict]:
+    """--theta/--amplitudes/--phases, else the file's sources, else two_source_half_rayleigh(n)."""
+    if args.theta is None:
+        if args.sources is not None:
+            return args.sources
+        return [dataclasses.asdict(s) for s in two_source_half_rayleigh(args.n).sources]
+    amplitudes = [1.0] * len(args.theta) if args.amplitudes is None else args.amplitudes
+    phases = [0.0] * len(args.theta) if args.phases is None else args.phases
+    if not len(amplitudes) == len(phases) == len(args.theta):
+        raise BadSpec("theta, amplitudes, and phases must have matching lengths")
+    return [{"theta": t, "amplitude": a, "phase": ph} for t, a, ph in zip(args.theta, amplitudes, phases)]
 
 
 def _resolve_scenario(args) -> UlaScenario:
-    n = args.n
-    if args.theta is None:
-        if args.sources is None:
-            return two_source_half_rayleigh(n)
-        sources = []
-        for entry in args.sources:
-            if not isinstance(entry, dict) or "theta" not in entry:
-                raise BadSpec("each scenario source must be an object with a 'theta' key")
-            sources.append(
-                Source(
-                    theta=float(entry["theta"]),
-                    amplitude=float(entry.get("amplitude", 1.0)),
-                    phase=float(entry.get("phase", 0.0)),
-                )
-            )
-        return UlaScenario(n=n, sources=tuple(sources))
-    thetas = _float_list(args.theta)
-    amplitudes = [1.0] * len(thetas) if args.amplitudes is None else _float_list(args.amplitudes)
-    phases = [0.0] * len(thetas) if args.phases is None else _float_list(args.phases)
-    if len(amplitudes) != len(thetas) or len(phases) != len(thetas):
-        raise BadSpec("theta, amplitudes, and phases must have matching lengths")
-    sources = tuple(
-        Source(theta=t, amplitude=a, phase=ph) for t, a, ph in zip(thetas, amplitudes, phases)
-    )
-    return UlaScenario(n=n, sources=sources)
+    return UlaScenario(n=args.n, sources=tuple(Source(**s) for s in args.sources))
 
 
-def _compressor(args, n: int) -> CompressorSpec:
+def _compressor(args) -> CompressorSpec:
     """The --m and --family options."""
     if args.m is None:
         raise BadSpec("the compressed dimension m is required (flag --m or config key)")
-    return CompressorSpec(m=int(args.m), n=n, family=str(args.family), seed=args.seed)
-
-
-def _scenario_dict(scenario: UlaScenario) -> dict:
-    return {
-        "type": "ula",
-        "n": scenario.n,
-        "sources": [
-            {"theta": s.theta, "amplitude": s.amplitude, "phase": s.phase}
-            for s in scenario.sources
-        ],
-    }
+    return CompressorSpec(m=args.m, n=args.n, family=args.family, seed=args.seed)
 
 
 def _jsonable(obj):
@@ -231,7 +275,7 @@ def _ks_dict(ks: mcharness.KsResult | None):
     }
 
 
-def _summary_payload(summary: mcharness.ExperimentSummary, config_dict: dict) -> dict:
+def _summary_payload(summary: mcharness.ExperimentSummary, record: dict) -> dict:
     stats = {}
     for name, s in summary.stats.items():
         stats[name] = {"mean": s.mean, "variance": s.variance, "ks": _ks_dict(s.ks)}
@@ -240,7 +284,7 @@ def _summary_payload(summary: mcharness.ExperimentSummary, config_dict: dict) ->
     if summary.fim_mean is not None:
         stats["fim_mean"] = {"mean": summary.fim_mean, "variance": None, "ks": None}
     return {
-        "config": config_dict,
+        "config": record,
         "n": summary.n,
         "m": summary.m,
         "p": summary.p,
@@ -288,63 +332,45 @@ def _write_campaign(out: Path, prefix: str, payload: dict, summary: mcharness.Ex
 # ---------------------------------------------------------------- fisher
 
 
-def _cmd_fisher(args, out: Path | None):
-    scenario = _resolve_scenario(args)
-    sigma2 = float(args.sigma2)
-    model = UlaModel(scenario)
-    info = fisher.fim(model.jacobian(model.reference_theta), sigma2)
+def _cmd_fisher(args, out: Path | None, record: dict) -> list[str]:
+    model = UlaModel(_resolve_scenario(args))
+    info = fisher.fim(model.jacobian(model.reference_theta), args.sigma2)
     bounds = [fisher.crb(info, i) for i in range(info.p)]
     payload = {
         "n": info.n,
         "p": info.p,
-        "sigma2": sigma2,
-        "scenario": _scenario_dict(scenario),
+        "sigma2": args.sigma2,
+        "scenario": record["scenario"],
         "crb": bounds,
         "fim": info.J,
     }
     print(json.dumps(_jsonable(payload)))
     if out is not None:
         _write_json(out / "fisher.json", payload)
-    return {"scenario": payload["scenario"], "sigma2": sigma2}, ["fisher.json"]
+    return ["fisher.json"]
 
 
 # ---------------------------------------------------------------- simulate
 
 
-def _cmd_simulate(args, out: Path | None):
-    scenario = _resolve_scenario(args)
-    spec = _compressor(args, scenario.n)
-    theta_alt = None if args.theta_alt is None else _float_list(args.theta_alt)
+def _cmd_simulate(args, out: Path | None, record: dict) -> list[str]:
     config = mcharness.ExperimentConfig(
-        compressor=spec,
-        trials=int(args.trials),
-        model=UlaModel(scenario),
-        sigma2=float(args.sigma2),
+        compressor=_compressor(args),
+        trials=args.trials,
+        model=UlaModel(_resolve_scenario(args)),
+        sigma2=args.sigma2,
         statistics=tuple(args.statistics),
-        crb_index=int(args.crb_index),
-        theta_alt=np.asarray(theta_alt, dtype=np.float64) if theta_alt is not None else None,
+        crb_index=args.crb_index,
+        theta_alt=None if args.theta_alt is None else np.asarray(args.theta_alt, dtype=np.float64),
         seed=args.seed,
-        histogram_bins=int(args.histogram_bins),
-        ks_alpha=float(args.ks_alpha),
-        allow_law_violation=bool(args.allow_law_violation),
+        histogram_bins=args.histogram_bins,
+        ks_alpha=args.ks_alpha,
+        allow_law_violation=args.allow_law_violation,
     )
-    config_dict = {
-        "scenario": _scenario_dict(scenario),
-        "sigma2": config.sigma2,
-        "compressor": dataclasses.asdict(spec),
-        "trials": config.trials,
-        "statistics": list(config.statistics),
-        "crb_index": config.crb_index,
-        "theta_alt": theta_alt,
-        "seed": args.seed,
-        "histogram_bins": config.histogram_bins,
-        "ks_alpha": config.ks_alpha,
-        "allow_law_violation": config.allow_law_violation,
-    }
     summary = mcharness.run(config)
-    payload = _summary_payload(summary, config_dict)
+    payload = _summary_payload(summary, record)
     print(json.dumps(_jsonable(payload)))
-    return config_dict, [] if out is None else _write_campaign(out, "", payload, summary)
+    return [] if out is None else _write_campaign(out, "", payload, summary)
 
 
 # ---------------------------------------------------------------- dist
@@ -383,22 +409,17 @@ def _write_plan(path: Path, rows) -> None:
     _write_csv(path, ["kappa", "confidence", "m", "ratio"], table)
 
 
-def _cmd_plan(args, out: Path | None):
+def _cmd_plan(args, out: Path | None, record: dict) -> list[str]:
     if args.kappas is not None:
         if out is None:
             raise BadSpec("table mode needs --out for the CSV")
-        kappas = _float_list(args.kappas)
-        confidences = _float_list(args.confidences)
-        rows = planner.curve(args.n, args.p, kappas, confidences)
+        rows = planner.curve(args.n, args.p, args.kappas, args.confidences)
         _write_plan(out / "plan.csv", rows)
         print(json.dumps({"rows": len(rows), "out": str(out / "plan.csv")}))
-        config = {"n": args.n, "p": args.p, "kappas": kappas, "confidences": confidences}
-        return config, ["plan.csv"]
+        return ["plan.csv"]
     if args.kappa is None or args.confidence is None:
         raise BadSpec("single query mode needs --kappa and --confidence")
-    query = planner.PlanQuery(
-        n=int(args.n), p=int(args.p), kappa=float(args.kappa), confidence=float(args.confidence)
-    )
+    query = planner.PlanQuery(n=args.n, p=args.p, kappa=args.kappa, confidence=args.confidence)
     m = planner.min_measurements(query)
     payload = {
         "n": query.n,
@@ -410,7 +431,7 @@ def _cmd_plan(args, out: Path | None):
         "confidence_achieved": planner.confidence_at(query.n, m, query.p, query.kappa),
     }
     print(json.dumps(_jsonable(payload)))
-    return {k: payload[k] for k in ("n", "p", "kappa", "confidence")}, []
+    return []
 
 
 # ---------------------------------------------------------------- ellipse
@@ -474,49 +495,31 @@ def _write_ellipse_outputs(out: Path, prefix: str, level: float, curves, lam_max
     return [csv_name, svg_name, metrics_name]
 
 
-def _cmd_ellipse(args, out: Path):
-    scenario = _resolve_scenario(args)
-    sigma2 = float(args.sigma2)
-    spec = _compressor(args, scenario.n)
+def _cmd_ellipse(args, out: Path, record: dict) -> list[str]:
     level, curves, lam_max = _ellipse_curves(
-        scenario, sigma2, spec, int(args.draws), args.r2, int(args.points)
+        _resolve_scenario(args), args.sigma2, _compressor(args), args.draws, args.r2, args.points
     )
     outputs = _write_ellipse_outputs(out, "ellipse", level, curves, lam_max)
     print(json.dumps({"out": str(out), "max_lambda_max": max(lam_max) if lam_max else None}))
-    config_dict = {
-        "scenario": _scenario_dict(scenario),
-        "sigma2": sigma2,
-        "compressor": dataclasses.asdict(spec),
-        "draws": len(lam_max),
-        "r2": level,
-    }
-    return config_dict, outputs
+    return outputs
 
 
 # ---------------------------------------------------------------- figures
 
 
-def _fig1(out: Path, n: int, m: int, trials: int, bins: int, seed: int) -> list[str]:
-    scenario = two_source_half_rayleigh(n)
-    spec = CompressorSpec(m=m, n=n, family="gaussian", seed=seed)
+def _fig1(out: Path, args, record: dict) -> list[str]:
+    n, m = args.n, args.m
     config = mcharness.ExperimentConfig(
-        compressor=spec,
-        trials=trials,
-        model=UlaModel(scenario),
+        compressor=CompressorSpec(m=m, n=n, family="gaussian", seed=args.seed),
+        trials=args.trials,
+        model=UlaModel(two_source_half_rayleigh(n)),
         statistics=("crb_ratio",),
-        seed=seed,
-        histogram_bins=bins,
+        seed=args.seed,
+        histogram_bins=args.bins,
     )
     summary = mcharness.run(config)
-    config_dict = {
-        "scenario": _scenario_dict(scenario),
-        "compressor": dataclasses.asdict(spec),
-        "trials": trials,
-        "statistics": ["crb_ratio"],
-        "histogram_bins": bins,
-    }
     # one statistic, so its histogram's name carries none
-    payload = _summary_payload(summary, config_dict)
+    payload = _summary_payload(summary, record)
     outputs = _write_campaign(out, "fig1_", payload, summary, histogram="fig1_histogram.csv")
     hist = summary.histograms["crb_ratio"]
     law = betalaw.crb_ratio_law(n, m, summary.p)
@@ -533,17 +536,17 @@ def _fig1(out: Path, n: int, m: int, trials: int, bins: int, seed: int) -> list[
     canvas.bars(hist.edges, hist.density)
     canvas.polyline(xs, np.asarray(pdf), color="#d62728", width=2.0)
     canvas.legend([
-        (f"Monte Carlo ({trials} trials)", "#9ecae1"),
+        (f"Monte Carlo ({args.trials} trials)", "#9ecae1"),
         (f"Beta({int(law.a)}, {int(law.b)})", "#d62728"),
     ])
     canvas.write(out / "fig1.svg")
     return outputs + ["fig1_pdf.csv", "fig1.svg"]
 
 
-def _fig2(out: Path, n: int, m: int, draws: int, points: int, seed: int) -> list[str]:
-    scenario = two_source_half_rayleigh(n)
-    spec = CompressorSpec(m=m, n=n, family="gaussian", seed=seed)
-    level, curves, lam_max = _ellipse_curves(scenario, 1.0, spec, draws, None, points)
+def _fig2(out: Path, args) -> list[str]:
+    spec = CompressorSpec(m=args.m, n=args.n, family="gaussian", seed=args.seed)
+    scenario = two_source_half_rayleigh(args.n)
+    level, curves, lam_max = _ellipse_curves(scenario, 1.0, spec, args.draws, None, args.points)
     return _write_ellipse_outputs(out, "fig2", level, curves, lam_max)
 
 
@@ -571,26 +574,16 @@ def _fig3(out: Path, n: int, p: int) -> list[str]:
     return ["fig3_plan.csv", "fig3.svg"]
 
 
-def _cmd_figures(args, out: Path):
-    n = int(args.n)
-    m = int(args.m)
-    trials = int(args.trials)
-    draws = int(args.draws)
-    points = int(args.points)
-    bins = int(args.bins)
+def _cmd_figures(args, out: Path, record: dict) -> list[str]:
     outputs: list[str] = []
     if args.which in ("fig1", "all"):
-        outputs.extend(_fig1(out, n, m, trials, bins, args.seed))
+        outputs.extend(_fig1(out, args, record))
     if args.which in ("fig2", "all"):
-        outputs.extend(_fig2(out, n, m, draws, points, args.seed))
+        outputs.extend(_fig2(out, args))
     if args.which in ("fig3", "all"):
-        outputs.extend(_fig3(out, n, 2))
+        outputs.extend(_fig3(out, args.n, 2))
     print(json.dumps({"out": str(out), "outputs": sorted(outputs)}))
-    config_dict = {
-        "which": args.which, "n": n, "m": m, "trials": trials,
-        "draws": draws, "points": points, "bins": bins,
-    }
-    return config_dict, outputs
+    return outputs
 
 
 # ---------------------------------------------------------------- parser
@@ -619,11 +612,11 @@ def _add_run_flags(sub: argparse.ArgumentParser, out_help: str, *, seed: bool = 
 
 def _add_scenario_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--n", type=int, default=128, help="number of array sensors")
-    sub.add_argument("--theta", type=str, default=None, help="comma separated source angles")
-    sub.add_argument("--amplitudes", type=str, default=None, help="comma separated amplitudes")
-    sub.add_argument("--phases", type=str, default=None, help="comma separated phases")
+    sub.add_argument("--theta", type=_float_list, default=None, help="comma separated source angles")
+    sub.add_argument("--amplitudes", type=_float_list, default=None, help="comma separated amplitudes")
+    sub.add_argument("--phases", type=_float_list, default=None, help="comma separated phases")
     sub.add_argument("--sigma2", type=float, default=1.0, help="noise power per sample")
-    # a config file's scenario.sources, used when --theta is absent
+    # a config file's scenario.sources, used when --theta is absent; main resolves it
     sub.set_defaults(sources=None)
 
 
@@ -660,7 +653,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sub.add_argument("--stat", dest="statistics", action=_AppendOver, default=["crb_ratio"],
                      choices=list(mcharness.STATISTICS), help="statistic to sample (repeatable)")
     sub.add_argument("--crb-index", type=int, default=0, help="parameter of the crb_ratio")
-    sub.add_argument("--theta-alt", type=str, default=None, help="second parameter point for kl_ratio")
+    sub.add_argument("--theta-alt", type=_float_list, default=None,
+                     help="second parameter point for kl_ratio")
     sub.add_argument("--bins", dest="histogram_bins", type=int, default=50, help="histogram bins")
     sub.add_argument("--alpha", dest="ks_alpha", type=float, default=0.01, help="KS significance level")
     sub.add_argument("--allow-law-violation", action="store_true", default=False,
@@ -683,8 +677,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sub.add_argument("--kappa", type=float, default=None, help="allowed CRB inflation factor")
     sub.add_argument("--confidence", type=float, default=None,
                      help="probability that the inflation stays within kappa")
-    sub.add_argument("--kappas", type=str, default=None, help="comma separated grid (table mode)")
-    sub.add_argument("--confidences", type=str, default=list(planner.DEFAULT_CONFIDENCES),
+    sub.add_argument("--kappas", type=_float_list, default=None, help="comma separated grid (table mode)")
+    sub.add_argument("--confidences", type=_float_list, default=list(planner.DEFAULT_CONFIDENCES),
                      help="comma separated grid (table mode)")
 
     sub = add("ellipse", "concentration ellipse loci", _cmd_ellipse)
@@ -718,23 +712,26 @@ def main(argv=None) -> int:
             args.func(args)
             return 0
         t0 = time.perf_counter()
+        options = _options(subparsers[args.command])
         if args.config is not None:
             # the file's values become defaults, so flags still beat them
-            known = {name for sub in subparsers.values()
-                     for name in [*sub._defaults, *(a.dest for a in sub._actions)]}
-            subparsers[args.command].set_defaults(**_load_config(args.config, vars(args), known))
+            known = {name for sub in subparsers.values() for name in _options(sub)}
+            subparsers[args.command].set_defaults(**_load_config(args.config, options, known))
             args = parser.parse_args(argv)
         if args.seed is None:
             args.seed = _default_seed()
+        if "sources" in options:
+            args.sources = _resolve_sources(args)
+        record = _record(args, options)
         out = None if args.out is None else Path(args.out)
         if out is not None:
             out.mkdir(parents=True, exist_ok=True)
-        config, outputs = args.func(args, out)
+        outputs = args.func(args, out, record)
         if out is not None:
             manifest = {
                 "command": args.command,
                 "argv": argv,
-                "config": config,
+                "config": record,
                 "seed": args.seed,
                 "version": __version__,
                 "outputs": sorted(outputs),

@@ -166,14 +166,23 @@ class ExperimentSummary:
     config: ExperimentConfig | None = None
 
 
+def _check_alpha(alpha) -> None:
+    if alpha not in KS_CRITICAL:
+        raise DomainError(f"unsupported alpha {alpha}; choose from {sorted(KS_CRITICAL)}")
+
+
+def _check_bins(bins) -> None:
+    if not (isinstance(bins, int) and bins >= 1):
+        raise BadSpec(f"bins must be a positive int, got {bins!r}")
+
+
 def ks_one_sample(samples, cdf: Callable, alpha: float = 0.01) -> KsResult:
     """One-sample KS test of ``samples`` against a continuous ``cdf``.
 
     The pass threshold is the asymptotic critical value c(alpha)/sqrt(N);
     at least 100 samples are required for the asymptotics to be fair.
     """
-    if alpha not in KS_CRITICAL:
-        raise DomainError(f"unsupported alpha {alpha}; choose from {sorted(KS_CRITICAL)}")
+    _check_alpha(alpha)
     x = np.sort(np.asarray(samples, dtype=np.float64).ravel())
     n = x.shape[0]
     if n < 100:
@@ -196,8 +205,7 @@ def histogram(samples, bins: int = 50) -> Histogram:
         raise TooFewSamples("histogram needs at least one sample")
     if not np.all(np.isfinite(x)):
         raise BadShape("histogram samples contain non-finite values")
-    if not (isinstance(bins, int) and bins >= 1):
-        raise BadSpec(f"bins must be a positive int, got {bins!r}")
+    _check_bins(bins)
     lo, hi = float(x.min()), float(x.max())
     # span of a few ulps cannot support bins of distinct finite width; a
     # single bin is the honest picture of constant data
@@ -310,6 +318,9 @@ def run(config: ExperimentConfig) -> ExperimentSummary:
         raise BadSpec(f"trials must be a positive int, got {config.trials!r}")
     if config.seed is not None:
         check_key(config.seed)
+    # the reduce step's settings, checked before any trial runs
+    _check_alpha(config.ks_alpha)
+    _check_bins(config.histogram_bins)
     # the field goes with the next benchmark change, which stops passing threads=1
     if not (isinstance(config.threads, int) and config.threads == 1):
         raise BadSpec(f"threads must be 1 (campaigns run on one thread), got {config.threads!r}")

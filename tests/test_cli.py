@@ -366,6 +366,10 @@ def test_config_nested_objects_beat_top_level_keys(tmp_path, capsys):
     assert cli.main(["simulate", "--config", cfg]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["n"] == 16 and payload["m"] == 6
+    # a string is parsed as the flag's text
+    cfg = _write_config(tmp_path, {"scenario": {"n": 16}, "compressor": {"m": 6}, "trials": "30"})
+    assert cli.main(["simulate", "--config", cfg]) == 0
+    assert json.loads(capsys.readouterr().out)["trials"] == 30
 
 
 def test_config_seed_beats_environment(tmp_path, capsys, monkeypatch):
@@ -427,3 +431,70 @@ def test_config_keys_that_name_no_option_are_errors(tmp_path, capsys):
                                    "trials": 20, "seed": 1})
     assert cli.main(["simulate", "--config", cfg]) == 0
     assert json.loads(capsys.readouterr().out)["config"]["histogram_bins"] == 7
+
+
+@pytest.mark.parametrize("command, cfg, key", [
+    ("simulate", {"trials": 20.7}, "trials"),
+    ("simulate", {"compressor": {"m": 6.9}}, "m"),
+    ("simulate", {"crb_index": True}, "crb_index"),
+    ("simulate", {"seed": 1.5}, "seed"),
+    ("simulate", {"sigma2": [1]}, "sigma2"),
+    ("simulate", {"sigma2": None}, "sigma2"),
+    ("simulate", {"compressor": {"family": "spherical_rows"}}, "family"),
+    ("simulate", {"statistics": "crb_ratio"}, "statistics"),
+    ("simulate", {"statistics": ["crb_ratio", "nope"]}, "statistics"),
+    ("simulate", {"theta_alt": "0.01,0.08"}, "theta_alt"),
+    ("simulate", {"allow_law_violation": 1}, "allow_law_violation"),
+    ("simulate", {"scenario": {"sources": {"theta": 0.1}}}, "sources"),
+    ("simulate", {"scenario": {"sources": [0.1]}}, "sources"),
+    ("simulate", {"scenario": {"sources": [{"theta": 0.1, "amp": 2.0}]}}, "amp"),
+    ("simulate", {"scenario": {"sources": [{"theta": "abc"}]}}, "theta"),
+    ("fisher", {"scenario": {"sources": [{"theta": 0.1, "phase": True}]}}, "phase"),
+    ("plan", {"kappas": "1.5,2.0"}, "kappas"),
+    ("plan", {"confidences": None}, "confidences"),
+    ("figures", {"bins": False}, "bins"),
+])
+def test_config_values_get_the_checks_a_flag_gets(tmp_path, capsys, command, cfg, key):
+    path = _write_config(tmp_path, {"n": 16, "m": 6, "trials": 120, "kappa": 2.0, "confidence": 0.9,
+                                    **cfg})
+    assert cli.main([command, "--config", path, "--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert repr(key) in captured.err
+
+
+_ROUND_TRIPS = {
+    "fisher": ["fisher", "--n", "12", "--theta", "0.2,-0.4,1.0", "--amplitudes", "1.0,2.0,0.5",
+               "--phases", "0,0.3,-0.3"],
+    "simulate": ["simulate", "--n", "16", "--m", "6", "--family", "stiefel", "--trials", "120",
+                 "--stat", "crb_ratio", "--stat", "kl_ratio", "--theta-alt", "0.01,0.08",
+                 "--sigma2", "0.7", "--seed", "5"],
+    "plan": ["plan", "--n", "128", "--kappa", "2.0", "--confidence", "0.9"],
+    "plan-table": ["plan", "--n", "64", "--kappas", "1.5,2.0,3.0", "--confidences", "0.9,0.99"],
+    "ellipse": ["ellipse", "--n", "16", "--m", "6", "--family", "stiefel", "--sigma2", "2.5",
+                "--draws", "4", "--points", "16", "--seed", "4"],
+    "fig1": ["figures", "--which", "fig1", "--n", "16", "--m", "8", "--trials", "120",
+             "--bins", "12", "--seed", "6"],
+    "fig2": ["figures", "--which", "fig2", "--n", "16", "--m", "6", "--draws", "4",
+             "--points", "16", "--seed", "7"],
+}
+
+
+@pytest.mark.parametrize("argv", _ROUND_TRIPS.values(), ids=_ROUND_TRIPS)
+def test_manifest_config_reruns_the_command(tmp_path, capsys, argv):
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert cli.main(argv + ["--out", str(first)]) == 0
+    printed = capsys.readouterr().out
+    config = json.loads((first / "manifest.json").read_text())["config"]
+    which = argv[argv.index("--which"):][:2] if "--which" in argv else []
+    assert cli.main([argv[0], "--config", _write_config(tmp_path, config), *which,
+                     "--out", str(second)]) == 0
+    if str(first) not in printed:  # what names no output directory prints the same
+        assert capsys.readouterr().out == printed
+    assert json.loads((second / "manifest.json").read_text())["config"] == config
+    outputs = sorted(path.name for path in first.iterdir())
+    assert outputs == sorted(path.name for path in second.iterdir())
+    for name in outputs:
+        if name != "manifest.json":
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name

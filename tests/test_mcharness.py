@@ -197,6 +197,22 @@ def test_run_validation():
         run(cfg)
 
 
+def test_reduce_settings_are_checked_before_any_trial(monkeypatch):
+    # a bad KS level or bin count fails before the first draw, not after the last trial
+    import crbcompress.mcharness as mc
+
+    draws = []
+    monkeypatch.setattr(mc, "sample", lambda spec, rng: draws.append(spec) or sample(spec, rng))
+    with pytest.raises(DomainError, match=r"unsupported alpha 0.02; choose from \[0.01, 0.05\]"):
+        run(_doa_config(16, 6, 3000, ks_alpha=0.02))
+    for bins in (0, 2.5):
+        with pytest.raises(BadSpec, match=f"bins must be a positive int, got {bins}"):
+            run(_doa_config(16, 6, 3000, histogram_bins=bins))
+    assert len(draws) == 0
+    run(_doa_config(16, 6, 3))
+    assert len(draws) == 3  # the counter sees the harness's draws
+
+
 def test_run_counts_and_excludes_degenerate_trials(monkeypatch):
     import crbcompress.mcharness as mc
 
