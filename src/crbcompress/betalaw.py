@@ -156,7 +156,11 @@ class BetaLaw:
 
 @dataclass(frozen=True)
 class MatrixBetaLaw:
-    """Type-I complex matrix beta law CB_p(m, n - m) on 0 <= V <= I_p."""
+    """Type-I complex matrix beta law CB_p(m, n - m) on 0 <= V <= I_p.
+
+    The law of the complex-form W = J^{-1/2} Jhat J^{-1/2}; its density
+    exists for m >= p and n - m >= p, which the constructor checks.
+    """
 
     p: int
     m: int
@@ -971,9 +975,11 @@ def _log_power_terms(values: np.ndarray, exponent: int) -> float:
 def matrix_beta_logpdf(W, law: MatrixBetaLaw) -> float:
     """Log density of the matrix beta law at the Hermitian point ``W``.
 
-    Support is 0 <= W <= I in the Loewner order, with SUPPORT_TOL slack;
-    points outside raise DomainError, boundary points yield -inf when
-    the corresponding exponent is positive.
+    ``W`` is the complex-form J^{-1/2} Jhat J^{-1/2}, whose density
+    needs m >= p and n - m >= p (``MatrixBetaLaw``).  Support is
+    0 <= W <= I in the Loewner order, with SUPPORT_TOL slack; points
+    outside raise DomainError, boundary points yield -inf when the
+    corresponding exponent is positive.
     """
     W = cxla.as_hermitian(W, "W")
     if W.shape[0] != law.p:
@@ -1025,7 +1031,8 @@ def eig_joint_logpdf(lams, law: MatrixBetaLaw) -> float:
 def fim_after_logpdf(J_hat, J, law: MatrixBetaLaw) -> float:
     """Log density of the compressed information matrix given ``J``.
 
-    Change of variables of the matrix beta law through
+    Change of variables of the matrix beta law of the complex-form
+    W = J^{-1/2} Jhat J^{-1/2}, so m >= p and n - m >= p, through
     Jhat = J^{1/2} W J^{H/2}: the value is
     log_norm + (p - n) log|J| + (m - p) log|Jhat| + (n - m - p) log|J - Jhat|
     on the support 0 <= Jhat <= J.
@@ -1061,8 +1068,10 @@ def fim_after_logpdf(J_hat, J, law: MatrixBetaLaw) -> float:
 def crb_ratio_law(n: int, m: int, p: int) -> BetaLaw:
     """Law of (CRB before) / (CRB after) for any parameter index.
 
-    Beta(m - p + 1, n - m); valid for p < m < n with n - p >= m.  The
-    bounds are those of the complex-form information G^H G / sigma2 that
+    Beta(m - p + 1, n - m); valid for p < m < n.  The ratio is the
+    residual of one projected column against the other p - 1, so unlike
+    the matrix density it needs no n - m >= p.  The bounds are those of
+    the complex-form information G^H G / sigma2 that
     ``fisher.fim`` and ``fisher.crb`` compute.  The textbook
     real-parameter information 2 Re(G^H G) / sigma2 (Kay, Vol. I) gives
     the same ratio when p = 1; for p > 1 its ratio does not follow this
@@ -1079,7 +1088,7 @@ def crb_ratio_law(n: int, m: int, p: int) -> BetaLaw:
 def kl_ratio_law(n: int, m: int) -> BetaLaw:
     """Law of (KL after) / (KL before) for scalar noise covariance.
 
-    Beta(m, n - m); valid for 1 <= m < n.
+    Beta(m, n - m); valid for 1 <= m < n, whatever the parameter count.
     """
     if not (isinstance(n, int) and isinstance(m, int)):
         raise DomainError("n and m must be ints")

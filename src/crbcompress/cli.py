@@ -21,11 +21,12 @@ numerical failures (reported as a JSON object on stderr).
 Every subcommand but ``dist`` reads option values from the JSON object
 named by ``--config`` (see the README for its keys), each checked as
 its flag's value is: a flag beats the file, and the file beats the
-built-in default.  A seed set neither way comes from the environment
-variable CRB_COMPRESS_SEED, else 0.  ``--out`` names a directory for
-the outputs and a ``manifest.json`` whose ``config`` records the
-resolved options in the keys and types a ``--config`` file takes, so
-feeding it back reruns the command.
+built-in default.  The subcommands that draw compressors (``simulate``,
+``ellipse``, ``figures``) take a seed; one set neither way comes from
+the environment variable CRB_COMPRESS_SEED, else 0.  ``--out`` names a
+directory for the outputs and a ``manifest.json`` whose ``config``
+records the resolved options in the keys and types a ``--config`` file
+takes, so feeding it back reruns the command.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ _NESTED = {"scenario": ("n", "sources"), "compressor": ("m", "family")}
 # the keys of a scenario.sources entry and their defaults
 _SOURCE_FIELDS = {f.name: f.default for f in dataclasses.fields(Source)}
 # the JSON values a config file may give an option of each flag type
-_JSON_TYPES = {int: int, float: (int, float), str: str, bool: bool}
+_JSON_TYPES = {int: int, float: (int, float), str: str}
 
 
 def _float_list(text: str) -> list[float]:
@@ -101,7 +102,7 @@ def _default_seed() -> int:
 def _options(sub: argparse.ArgumentParser) -> dict:
     """The options a config file may set for ``sub``, in parse order: name -> its flag's action.
 
-    ``sources`` and the seed of fisher and plan have no flag; their action is None.
+    ``sources`` has no flag; its action is None.
     """
     actions = {a.dest: a for a in sub._actions}
     names = [*actions, *(k for k in sub._defaults if k not in actions)]
@@ -110,9 +111,8 @@ def _options(sub: argparse.ArgumentParser) -> dict:
 
 def _file_scalar(key: str, value, kind: type, choices):
     """One value of option ``key`` as its flag would give it; a string is the flag's text."""
-    # bool is an int to Python, so only a bool option takes one
-    ok = (isinstance(value, str) and kind is not bool) or (
-        isinstance(value, _JSON_TYPES[kind]) and (kind is bool or not isinstance(value, bool)))
+    # bool is an int to Python, but no option takes one
+    ok = isinstance(value, str) or (isinstance(value, _JSON_TYPES[kind]) and not isinstance(value, bool))
     try:
         parsed = kind(value) if ok else None
     except (ValueError, OverflowError):
@@ -138,11 +138,9 @@ def _file_value(key: str, value, action):
     """The value a config file gives option ``key`` (flag ``action``), checked like the flag's."""
     if value is None and (action is None or action.default is None):
         return None
-    if action is None and key != "sources":  # the seed of fisher and plan
-        return _file_scalar(key, value, int, None)
     many = action is None or isinstance(action, _AppendOver) or action.type is _float_list
     if not many:
-        return _file_scalar(key, value, bool if action.nargs == 0 else action.type, action.choices)
+        return _file_scalar(key, value, action.type, action.choices)
     if not isinstance(value, list):
         raise BadSpec(f"config key {key!r} must be a list, got {value!r}")
     if action is None:  # sources
@@ -247,8 +245,6 @@ def _write_json(path: Path, obj) -> None:
 def _csv_cell(v) -> str:
     if v is None:
         return ""
-    if isinstance(v, bool):
-        return "true" if v else "false"
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     if isinstance(v, (float, np.floating)):
@@ -365,7 +361,6 @@ def _cmd_simulate(args, out: Path | None, record: dict) -> list[str]:
         seed=args.seed,
         histogram_bins=args.histogram_bins,
         ks_alpha=args.ks_alpha,
-        allow_law_violation=args.allow_law_violation,
     )
     summary = mcharness.run(config)
     payload = _summary_payload(summary, record)
@@ -445,6 +440,8 @@ def _real_form(info: fisher.FimResult) -> fisher.FimResult:
 def _ellipse_curves(scenario: UlaScenario, sigma2: float, spec: CompressorSpec,
                     draws: int, r2: float | None, points: int):
     """Loci e^T Re(J) e = r2 before and after each draw, and lambda_max of each draw's real-form W."""
+    if not (isinstance(draws, int) and draws >= 1):
+        raise BadSpec(f"draws must be a positive int, got {draws!r}")
     model = UlaModel(scenario)
     if model.p != 2:
         raise BadSpec(f"ellipse loci need a two-parameter scenario, got p={model.p}")
@@ -489,7 +486,7 @@ def _write_ellipse_outputs(out: Path, prefix: str, level: float, curves, lam_max
             "r2": level,
             "draws": len(lam_max),
             "lambda_max": lam_max,
-            "max_lambda_max": max(lam_max) if lam_max else None,
+            "max_lambda_max": max(lam_max),
         },
     )
     return [csv_name, svg_name, metrics_name]
@@ -500,7 +497,7 @@ def _cmd_ellipse(args, out: Path, record: dict) -> list[str]:
         _resolve_scenario(args), args.sigma2, _compressor(args), args.draws, args.r2, args.points
     )
     outputs = _write_ellipse_outputs(out, "ellipse", level, curves, lam_max)
-    print(json.dumps({"out": str(out), "max_lambda_max": max(lam_max) if lam_max else None}))
+    print(json.dumps({"out": str(out), "max_lambda_max": max(lam_max)}))
     return outputs
 
 
@@ -599,14 +596,11 @@ class _AppendOver(argparse.Action):
 
 def _add_run_flags(sub: argparse.ArgumentParser, out_help: str, *, seed: bool = True,
                    out_required: bool = False) -> None:
-    """--config, --seed and --out, which main handles for every subcommand."""
+    """--config, --out and, for a subcommand that draws, --seed, which main handles."""
     sub.add_argument("--config", type=str, default=None, help="JSON file of option values")
     if seed:
         sub.add_argument("--seed", type=int, default=None,
                          help="random seed; None reads $CRB_COMPRESS_SEED, else 0")
-    else:
-        # draws nothing, but the manifest records a seed from the file or environment
-        sub.set_defaults(seed=None)
     sub.add_argument("--out", type=str, default=None, required=out_required, help=out_help)
 
 
@@ -657,8 +651,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
                      help="second parameter point for kl_ratio")
     sub.add_argument("--bins", dest="histogram_bins", type=int, default=50, help="histogram bins")
     sub.add_argument("--alpha", dest="ks_alpha", type=float, default=0.01, help="KS significance level")
-    sub.add_argument("--allow-law-violation", action="store_true", default=False,
-                     help="warn instead of failing outside p < m <= n - p")
 
     sub = add("dist", "evaluate the scalar loss laws", _cmd_dist)
     sub.add_argument("--law", type=str, required=True, choices=["crb-ratio", "kl-ratio", "beta"])
@@ -718,7 +710,7 @@ def main(argv=None) -> int:
             known = {name for sub in subparsers.values() for name in _options(sub)}
             subparsers[args.command].set_defaults(**_load_config(args.config, options, known))
             args = parser.parse_args(argv)
-        if args.seed is None:
+        if "seed" in options and args.seed is None:
             args.seed = _default_seed()
         if "sources" in options:
             args.sources = _resolve_sources(args)
@@ -732,7 +724,7 @@ def main(argv=None) -> int:
                 "command": args.command,
                 "argv": argv,
                 "config": record,
-                "seed": args.seed,
+                "seed": record.get("seed"),
                 "version": __version__,
                 "outputs": sorted(outputs),
                 "duration_s": time.perf_counter() - t0,

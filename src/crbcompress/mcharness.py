@@ -22,7 +22,10 @@ Per-trial statistics:
 ``run`` validates the config, runs one sequential loop over the trial
 kernel ``_Campaign.trial`` and reduces each statistic as its ``_TABLE``
 entry says.  A statistic is one ``_TABLE`` entry and one ``_Trial``
-attribute of its name.
+attribute of its name.  A campaign runs for any m <= n, and for
+p < m <= n where it needs the information matrices; a sample statistic
+gets a KS verdict when at least 100 trials are kept and its own law
+covers (n, m, p), which in practice leaves out only m = n.
 
 Reproducibility: trial t draws from ``derive_stream(seed, t)`` and
 writes into slot t, so results are byte-identical for a given config
@@ -33,7 +36,6 @@ requested.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
@@ -51,14 +53,21 @@ class _Statistic:
     """How a campaign keeps one statistic, read off each trial as ``_Trial.<name>``.
 
     A value of ``rank`` 0 or 1 (axes of length p) is a sample, with a KS
-    verdict against ``law(n, m, p)`` if given; a complex p x p value keeps
-    only its mean, as the summary attribute of its name.  ``need`` is the
-    ``_Campaign`` piece its trials read.
+    verdict against ``law(n, m, p)`` where that law exists; a complex
+    p x p value keeps only its mean, as the summary attribute of its
+    name.  ``need`` is the ``_Campaign`` piece its trials read.
     """
 
     rank: int
     need: str
     law: Callable[[int, int, int], betalaw.BetaLaw] | None = None
+
+    def law_at(self, n: int, m: int, p: int) -> betalaw.BetaLaw | None:
+        """``law(n, m, p)``, or None where the statistic has no law there (m = n)."""
+        try:
+            return None if self.law is None else self.law(n, m, p)
+        except DomainError:
+            return None
 
 
 # Every statistic, in the order a trial computes them and summaries list them
@@ -128,8 +137,6 @@ class ExperimentConfig:
     The trials compress the Jacobian of ``model`` at its reference
     point; ``kl_ratio`` compares the means there and at ``theta_alt``.
     ``seed`` falls back to the compressor's own seed when omitted.
-    ``allow_law_violation`` downgrades the p < m <= n - p validity gate
-    to a warning, for deliberately degenerate runs such as m = n.
     """
 
     compressor: CompressorSpec
@@ -142,7 +149,6 @@ class ExperimentConfig:
     seed: int | None = None
     histogram_bins: int = 50
     ks_alpha: float = 0.01
-    allow_law_violation: bool = False
     # only 1 is accepted; kept while the benchmark still passes threads=1
     threads: int = 1
 
@@ -331,13 +337,6 @@ def run(config: ExperimentConfig) -> ExperimentSummary:
     n, p, m = model.n, model.p, spec.m
     if spec.n != n:
         raise BadSpec(f"compressor ambient dimension {spec.n} does not match model n={n}")
-    law_ok = p < m <= n - p
-    if not law_ok:
-        message = f"law validity needs p < m <= n - p, got p={p}, m={m}, n={n}"
-        if config.allow_law_violation:
-            warnings.warn(message + "; analytic reference laws are disabled", stacklevel=2)
-        else:
-            raise BadSpec(message + "; set allow_law_violation=True to run anyway")
 
     names = tuple(name for name in _TABLE if name in requested)
     campaign = _Campaign(config, names)
@@ -383,9 +382,9 @@ def run(config: ExperimentConfig) -> ExperimentSummary:
         flat = kept_values.ravel()
         mean = float(np.mean(flat))
         variance = float(np.var(flat, ddof=1)) if flat.size > 1 else 0.0
+        law = stat.law_at(n, m, p) if kept >= 100 else None
         ks = None
-        if stat.law is not None and kept >= 100 and law_ok:
-            law = stat.law(n, m, p)
+        if law is not None:
             ks = ks_one_sample(flat, lambda x: betalaw.beta_cdf(law, x), config.ks_alpha)
         summary.stats[name] = StatSummary(mean=mean, variance=variance, ks=ks)
         summary.histograms[name] = histogram(flat, bins=config.histogram_bins)

@@ -40,8 +40,8 @@ class CompressorSpec:
     """Shape, family, and seed of a compressor ensemble.
 
     ``m`` is the compressed dimension, ``n`` the ambient one.  The
-    relation to the parameter count (p < m, n - p >= m) is checked at
-    the experiment level, not here.
+    relation to the parameter count (p < m where the information is
+    compressed) is checked at the experiment level, not here.
     """
 
     m: int

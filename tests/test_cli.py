@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -257,16 +258,33 @@ def test_simulate_missing_m_is_a_config_error(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error")
 def test_simulate_law_gate_exit_codes(capsys):
-    # m = n needs the override flag; with it, the run must warn but pass
+    # m = n runs without a flag or a warning; no law covers it, so there is no KS verdict
     args = ["simulate", "--n", "12", "--m", "12", "--family", "stiefel",
             "--trials", "30", "--seed", "2"]
-    assert cli.main(args) == 1
+    assert cli.main(args + ["--allow-law-violation"]) == 1  # the flag is gone
     capsys.readouterr()
-    with pytest.warns(UserWarning):
-        assert cli.main(args + ["--allow-law-violation"]) == 0
+    assert cli.main(args) == 0
     payload = json.loads(capsys.readouterr().out)
     np.testing.assert_allclose(payload["statistics"]["crb_ratio"]["mean"], 1.0, atol=1e-10)
+    assert payload["statistics"]["crb_ratio"]["ks"] is None
+    # m past n - p runs too, with a verdict from the crb_ratio law
+    assert cli.main(["simulate", "--n", "16", "--m", "15", "--trials", "200", "--seed", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["statistics"]["crb_ratio"]["ks"] is not None
+
+
+def test_fisher_and_plan_take_no_seed(tmp_path, capsys, monkeypatch):
+    # they draw nothing, so a seed flag, key or bad environment value changes nothing
+    monkeypatch.setenv("CRB_COMPRESS_SEED", "junk")
+    for argv in (["fisher", "--n", "16"], ["plan", "--n", "16", "--kappa", "2.0", "--confidence", "0.9"]):
+        out = tmp_path / argv[0]
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert "seed" not in manifest["config"] and manifest["seed"] is None
+        assert cli.main(argv + ["--seed", "3"]) == 1
+    assert cli.main(["simulate", "--n", "16", "--m", "6", "--trials", "10"]) == 1
+    assert "CRB_COMPRESS_SEED" in capsys.readouterr().err
 
 
 def test_ellipse_outputs(tmp_path, capsys):
@@ -287,6 +305,15 @@ def test_ellipse_outputs(tmp_path, capsys):
     assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
     # the loci and lambda_max are those of the real-parameter form
     assert "Re(J)" in metrics["form"] and "Re(J)" in svg
+
+
+@pytest.mark.parametrize("draws", ["0", "-1"])
+@pytest.mark.parametrize("command", [["ellipse"], ["figures", "--which", "fig2"]])
+def test_draws_below_one_is_a_config_error(tmp_path, capsys, command, draws):
+    out = tmp_path / "out"
+    assert cli.main(command + ["--n", "16", "--m", "6", "--draws", draws, "--out", str(out)]) == 1
+    assert "draws" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 def test_ellipse_needs_two_parameters(tmp_path, capsys):
@@ -498,3 +525,18 @@ def test_manifest_config_reruns_the_command(tmp_path, capsys, argv):
     for name in outputs:
         if name != "manifest.json":
             assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
+def test_readme_config_table_lists_every_option():
+    # the README's table of config keys, one row per subcommand that reads a file
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = {}
+    for line in text.splitlines():
+        cells = line.split("|")
+        if len(cells) == 4 and cells[1].strip().startswith("`"):
+            keys = re.findall(r"`([^`]+)`", cells[2])
+            rows[cells[1].strip().strip("`")] = {k for k in keys if not k.startswith("--")}
+    _, subparsers = cli._build_parser()
+    expected = {name: set(cli._options(sub)) for name, sub in subparsers.items()
+                if any(action.dest == "config" for action in sub._actions)}
+    assert rows == expected

@@ -126,9 +126,7 @@ def test_histogram_density_tracks_the_law():
 
 
 def test_run_identity_compression_keeps_the_bound():
-    config = _doa_config(12, 12, 40, family="stiefel", seed=2, allow_law_violation=True)
-    with pytest.warns(UserWarning):
-        summary = run(config)
+    summary = run(_doa_config(12, 12, 40, family="stiefel", seed=2))
     assert summary.excluded_trials == 0
     np.testing.assert_allclose(summary.samples["crb_ratio"], 1.0, atol=1e-10)
     assert summary.stats["crb_ratio"].ks is None
@@ -164,7 +162,9 @@ def test_run_rejects_seeds_that_would_collide():
             run(config)
 
 
-def test_run_validation():
+def test_run_validation(monkeypatch):
+    import crbcompress.mcharness as mc
+
     with pytest.raises(BadSpec):
         run(_doa_config(16, 6, 100, statistics=("nope",)))
     with pytest.raises(BadSpec):
@@ -177,8 +177,13 @@ def test_run_validation():
         run(_doa_config(16, 6, 100, threads=0))
     with pytest.raises(BadSpec):
         run(_doa_config(16, 6, 100, threads=4))
-    with pytest.raises(BadSpec):
-        run(_doa_config(16, 15, 100))  # m > n - p without the override
+    draws = []
+    monkeypatch.setattr(mc, "sample", lambda spec, rng: draws.append(spec) or sample(spec, rng))
+    for m, statistics in ((2, ("crb_ratio",)), (1, ("w_eigenvalues",)), (2, ("w_mean", "kl_ratio"))):
+        with pytest.raises(BadSpec, match="information statistics need p < m <= n"):
+            run(_doa_config(16, m, 100, statistics=statistics,
+                            theta_alt=np.array([0.05, 0.25])))  # m <= p
+    assert len(draws) == 0
     with pytest.raises(BadSpec):
         run(_doa_config(16, 6, 100, statistics=("kl_ratio",)))  # no theta_alt
     with pytest.raises(BadSpec):
@@ -291,10 +296,7 @@ def test_run_spectrum_statistics():
     assert eigs.min() > -1e-10 and eigs.max() < 1.0 + 1e-10
     assert np.all(np.diff(eigs, axis=1) >= 0.0)
     assert summary.w_mean.shape == (2, 2)
-    ident = _doa_config(12, 12, 150, family="stiefel", seed=8, allow_law_violation=True,
-                        statistics=("w_eigenvalues",))
-    with pytest.warns(UserWarning):
-        full = run(ident)
+    full = run(_doa_config(12, 12, 150, family="stiefel", seed=8, statistics=("w_eigenvalues",)))
     np.testing.assert_allclose(full.samples["w_eigenvalues"], 1.0, atol=1e-10)
 
 
@@ -342,6 +344,29 @@ def test_run_families_share_the_ratio_law():
     b = run(_doa_config(32, 12, 1500, family="stiefel", seed=14))
     result = ks_two_sample(a.samples["crb_ratio"], b.samples["crb_ratio"], alpha=0.01)
     assert result.passed
+
+
+@pytest.mark.parametrize("family, seed", [("gaussian", 22), ("stiefel", 23)])
+def test_run_ks_verdicts_past_n_minus_p(family, seed):
+    # m = 15 > n - p = 14: the scalar laws still hold where the matrix density does not
+    model = UlaModel(two_source_half_rayleigh(16))
+    summary = run(_doa_config(16, 15, 2000, family=family, seed=seed, statistics=("crb_ratio", "kl_ratio"),
+                              theta_alt=model.reference_theta + np.array([0.011, -0.017])))
+    for name in ("crb_ratio", "kl_ratio"):
+        ks = summary.stats[name].ks
+        assert ks is not None and ks.alpha == 0.01
+        assert ks.passed, (name, ks.statistic, ks.critical)
+
+
+@pytest.mark.filterwarnings("error")
+def test_run_at_m_equal_n_has_no_ks_verdict():
+    # every ratio is 1 at m = n, where no beta law exists; the run neither warns nor fails
+    model = UlaModel(two_source_half_rayleigh(12))
+    summary = run(_doa_config(12, 12, 150, seed=10, statistics=("crb_ratio", "kl_ratio", "w_eigenvalues"),
+                              theta_alt=model.reference_theta + np.array([0.011, -0.017])))
+    for name in ("crb_ratio", "kl_ratio", "w_eigenvalues"):
+        assert summary.stats[name].ks is None
+        np.testing.assert_allclose(summary.samples[name], 1.0, atol=1e-10)
 
 
 def test_run_skips_ks_for_small_campaigns():
