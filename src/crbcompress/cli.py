@@ -504,7 +504,7 @@ def _cmd_ellipse(args, out: Path, record: dict) -> list[str]:
 # ---------------------------------------------------------------- figures
 
 
-def _fig1(out: Path, args, record: dict) -> list[str]:
+def _fig1(args, record: dict):
     n, m = args.n, args.m
     config = mcharness.ExperimentConfig(
         compressor=CompressorSpec(m=m, n=n, family="gaussian", seed=args.seed),
@@ -515,70 +515,81 @@ def _fig1(out: Path, args, record: dict) -> list[str]:
         histogram_bins=args.bins,
     )
     summary = mcharness.run(config)
-    # one statistic, so its histogram's name carries none
-    payload = _summary_payload(summary, record)
-    outputs = _write_campaign(out, "fig1_", payload, summary, histogram="fig1_histogram.csv")
     hist = summary.histograms["crb_ratio"]
     law = betalaw.crb_ratio_law(n, m, summary.p)
     lo, hi = float(hist.edges[0]), float(hist.edges[-1])
     xs = np.linspace(lo, hi, 512)
-    pdf = betalaw.beta_pdf(law, np.clip(xs, 0.0, 1.0))
-    _write_csv(out / "fig1_pdf.csv", ["x", "pdf"], zip(xs.tolist(), np.asarray(pdf).tolist()))
-    top = 1.1 * max(float(np.max(hist.density)), float(np.max(pdf)))
-    canvas = svgfig.SvgCanvas(
-        xlim=(lo, hi), ylim=(0.0, top),
-        title="CRB ratio under random compression",
-        xlabel="CRB before / CRB after", ylabel="density",
-    )
-    canvas.bars(hist.edges, hist.density)
-    canvas.polyline(xs, np.asarray(pdf), color="#d62728", width=2.0)
-    canvas.legend([
-        (f"Monte Carlo ({args.trials} trials)", "#9ecae1"),
-        (f"Beta({int(law.a)}, {int(law.b)})", "#d62728"),
-    ])
-    canvas.write(out / "fig1.svg")
-    return outputs + ["fig1_pdf.csv", "fig1.svg"]
+    pdf = np.asarray(betalaw.beta_pdf(law, np.clip(xs, 0.0, 1.0)))
+
+    def write(out: Path) -> list[str]:
+        # one statistic, so its histogram's name carries none
+        payload = _summary_payload(summary, record)
+        outputs = _write_campaign(out, "fig1_", payload, summary, histogram="fig1_histogram.csv")
+        _write_csv(out / "fig1_pdf.csv", ["x", "pdf"], zip(xs.tolist(), pdf.tolist()))
+        top = 1.1 * max(float(np.max(hist.density)), float(np.max(pdf)))
+        canvas = svgfig.SvgCanvas(
+            xlim=(lo, hi), ylim=(0.0, top),
+            title="CRB ratio under random compression",
+            xlabel="CRB before / CRB after", ylabel="density",
+        )
+        canvas.bars(hist.edges, hist.density)
+        canvas.polyline(xs, pdf, color="#d62728", width=2.0)
+        canvas.legend([
+            (f"Monte Carlo ({args.trials} trials)", "#9ecae1"),
+            (f"Beta({int(law.a)}, {int(law.b)})", "#d62728"),
+        ])
+        canvas.write(out / "fig1.svg")
+        return outputs + ["fig1_pdf.csv", "fig1.svg"]
+
+    return write
 
 
-def _fig2(out: Path, args) -> list[str]:
+def _fig2(args):
     spec = CompressorSpec(m=args.m, n=args.n, family="gaussian", seed=args.seed)
     scenario = two_source_half_rayleigh(args.n)
     level, curves, lam_max = _ellipse_curves(scenario, 1.0, spec, args.draws, None, args.points)
-    return _write_ellipse_outputs(out, "fig2", level, curves, lam_max)
+    return lambda out: _write_ellipse_outputs(out, "fig2", level, curves, lam_max)
 
 
-def _fig3(out: Path, n: int, p: int) -> list[str]:
+def _fig3(n: int, p: int):
     kappas = np.linspace(1.1, 5.0, 40).tolist()
     confidences = list(planner.DEFAULT_CONFIDENCES)
     rows = planner.curve(n, p, kappas, confidences)
-    _write_plan(out / "fig3_plan.csv", rows)
-    feasible = [r for r in rows if r.feasible]
-    ratios = [r.ratio for r in feasible]
-    canvas = svgfig.SvgCanvas(
-        xlim=(min(kappas), max(kappas)),
-        ylim=(0.0, 1.05 * max(ratios)) if ratios else (0.0, 1.0),
-        title="Compression needed for a target CRB inflation",
-        xlabel="allowed inflation factor", ylabel="m / n",
-    )
-    legend = []
-    for idx, confidence in enumerate(confidences):
-        sub = [r for r in feasible if r.confidence == confidence]
-        color = svgfig.palette(idx)
-        canvas.polyline([r.kappa for r in sub], [r.ratio for r in sub], color=color, width=2.0)
-        legend.append((f"confidence {confidence:g}", color))
-    canvas.legend(legend)
-    canvas.write(out / "fig3.svg")
-    return ["fig3_plan.csv", "fig3.svg"]
+
+    def write(out: Path) -> list[str]:
+        _write_plan(out / "fig3_plan.csv", rows)
+        feasible = [r for r in rows if r.feasible]
+        ratios = [r.ratio for r in feasible]
+        canvas = svgfig.SvgCanvas(
+            xlim=(min(kappas), max(kappas)),
+            ylim=(0.0, 1.05 * max(ratios)) if ratios else (0.0, 1.0),
+            title="Compression needed for a target CRB inflation",
+            xlabel="allowed inflation factor", ylabel="m / n",
+        )
+        legend = []
+        for idx, confidence in enumerate(confidences):
+            sub = [r for r in feasible if r.confidence == confidence]
+            color = svgfig.palette(idx)
+            canvas.polyline([r.kappa for r in sub], [r.ratio for r in sub], color=color, width=2.0)
+            legend.append((f"confidence {confidence:g}", color))
+        canvas.legend(legend)
+        canvas.write(out / "fig3.svg")
+        return ["fig3_plan.csv", "fig3.svg"]
+
+    return write
 
 
 def _cmd_figures(args, out: Path, record: dict) -> list[str]:
-    outputs: list[str] = []
-    if args.which in ("fig1", "all"):
-        outputs.extend(_fig1(out, args, record))
-    if args.which in ("fig2", "all"):
-        outputs.extend(_fig2(out, args))
-    if args.which in ("fig3", "all"):
-        outputs.extend(_fig3(out, args.n, 2))
+    # Every requested figure is computed, so its options are checked,
+    # before any file is written: a bad option leaves no partial set.
+    # The Monte Carlo figure, the slowest, is computed last.
+    makers = {
+        "fig2": lambda: _fig2(args),
+        "fig3": lambda: _fig3(args.n, 2),
+        "fig1": lambda: _fig1(args, record),
+    }
+    writers = [make() for name, make in makers.items() if args.which in (name, "all")]
+    outputs = [name for write in writers for name in write(out)]
     print(json.dumps({"out": str(out), "outputs": sorted(outputs)}))
     return outputs
 

@@ -1,9 +1,10 @@
 """Dense complex linear algebra kernels.
 
 Orthonormal bases, Hermitian roots, and stable log-determinants, all on
-plain ``numpy`` arrays in ``complex128``.  Routines that produce
-Hermitian matrices re-symmetrize the result so downstream ``eigh`` calls
-never see accumulated asymmetry.
+plain ``numpy`` arrays in ``complex128``.  A full-rank basis costs one
+QR: its triangular factor carries the singular values that decide the
+rank verdict.  Routines that produce Hermitian matrices re-symmetrize
+the result so downstream ``eigh`` calls never see accumulated asymmetry.
 """
 
 from __future__ import annotations
@@ -55,17 +56,22 @@ def as_hermitian(a, name: str = "matrix") -> np.ndarray:
 def orthonormal_columns(m) -> np.ndarray:
     """Orthonormal basis Q (same shape as ``m``) for the column space.
 
-    Requires full column rank: raises RankDeficient when the smallest
-    singular value is at or below RANK_TOL times the largest.
+    Requires at least as many rows as columns (else BadShape) and full
+    column rank: raises RankDeficient when the smallest singular value
+    is at or below RANK_TOL times the largest.  One QR gives both the
+    basis and the verdict, since the square factor R has the singular
+    values of ``m``.
     """
     m = as_complex_matrix(m)
-    s = np.linalg.svd(m, compute_uv=False)
+    if m.shape[0] < m.shape[1]:
+        raise BadShape(f"matrix of shape {m.shape} has fewer rows than columns")
+    q, r = np.linalg.qr(m)
+    s = np.linalg.svd(r, compute_uv=False)
     if s[0] == 0.0 or s[-1] <= RANK_TOL * s[0]:
         raise RankDeficient(
             f"matrix of shape {m.shape} is rank deficient "
             f"(smallest/largest singular value = {s[-1]:.3e}/{s[0]:.3e})"
         )
-    q, _ = np.linalg.qr(m)
     return q
 
 

@@ -308,7 +308,9 @@ def test_ellipse_outputs(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("draws", ["0", "-1"])
-@pytest.mark.parametrize("command", [["ellipse"], ["figures", "--which", "fig2"]])
+@pytest.mark.parametrize("command", [["ellipse"], ["figures", "--which", "fig2"],
+                                     # a bad fig2 option leaves no fig1 or fig3 file behind
+                                     ["figures", "--which", "all", "--trials", "100"]])
 def test_draws_below_one_is_a_config_error(tmp_path, capsys, command, draws):
     out = tmp_path / "out"
     assert cli.main(command + ["--n", "16", "--m", "6", "--draws", draws, "--out", str(out)]) == 1

@@ -52,6 +52,40 @@ def test_orthonormal_columns_rank_deficient():
         cxla.orthonormal_columns(m)
 
 
+def _frame_times_unit_triangle(rng, k):
+    """Q T: a random complex 80-by-k orthonormal frame times the k-by-k
+    unit upper triangle with -1 above the diagonal.
+
+    T's singular values spread out geometrically in k while every diagonal
+    entry of R stays 1 in magnitude, so only the singular values tell a
+    near-singular input from a well-conditioned one.
+    """
+    q, _ = np.linalg.qr(_random_complex(rng, (80, k)))
+    return q @ (np.eye(k) - np.triu(np.ones((k, k)), 1))
+
+
+def test_orthonormal_columns_verdict_reads_singular_values_not_the_r_diagonal():
+    rng = np.random.default_rng(20)
+    m = _frame_times_unit_triangle(rng, 40)
+    s = np.linalg.svd(m, compute_uv=False)
+    assert s[-1] / s[0] < 1e-12
+    r_diagonal = np.abs(np.diag(np.linalg.qr(m)[1]))
+    assert r_diagonal.min() / r_diagonal.max() > 0.99
+    with pytest.raises(RankDeficient):
+        cxla.orthonormal_columns(m)
+    # at 24 columns the singular value ratio is about 1e-8, above RANK_TOL
+    m = _frame_times_unit_triangle(rng, 24)
+    s = np.linalg.svd(m, compute_uv=False)
+    assert s[-1] / s[0] > 100 * cxla.RANK_TOL
+    assert cxla.orthonormal_columns(m).shape == (80, 24)
+
+
+@pytest.mark.parametrize("shape", [(8, 3), (32, 16), (128, 64), (5, 5)])
+def test_orthonormal_columns_is_numpy_qr_bit_for_bit(shape):
+    m = _random_complex(np.random.default_rng(21), shape)
+    np.testing.assert_array_equal(cxla.orthonormal_columns(m), np.linalg.qr(m)[0])
+
+
 def test_orthonormal_range_truncates_to_the_numerical_rank():
     rng = np.random.default_rng(16)
     col = _random_complex(rng, (7, 1))
@@ -123,3 +157,6 @@ def test_shape_validation():
         cxla.as_hermitian(np.ones((2, 3)))
     with pytest.raises(BadShape):
         cxla.as_complex_vector(np.ones((2, 2)))
+    # a wide matrix has no full-column-rank basis of its own shape
+    with pytest.raises(BadShape):
+        cxla.orthonormal_columns(np.ones((2, 3)))

@@ -207,6 +207,26 @@ def test_compressed_fim_errors():
         compressed_fim(g, _random_complex(rng, (4, 7)))
 
 
+def test_compressed_fim_factors_the_compressor_once(monkeypatch):
+    # one QR of phi^H gives the basis and the rank verdict; a second
+    # factorization of the n-by-m matrix would double the kernel's cost
+    model = UlaModel(two_source_half_rayleigh(128))
+    G = model.jacobian(model.reference_theta)
+    phi = sample(CompressorSpec(m=64, n=128, family="gaussian", seed=3), derive_stream(3, 0))
+    shapes = {"qr": [], "svd": []}
+    for name in shapes:
+        real = getattr(np.linalg, name)
+
+        def record(a, *args, _real=real, _name=name, **kwargs):
+            shapes[_name].append(np.shape(a))
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, record)
+    compressed_fim(G, phi)
+    assert shapes["qr"] == [(128, 64)]
+    assert set(shapes["svd"]) <= {(64, 64)}
+
+
 def test_compression_never_improves_the_bound():
     model = UlaModel(two_source_half_rayleigh(24))
     g = model.jacobian(model.reference_theta)
