@@ -15,18 +15,19 @@ Subcommands:
   demonstration figures (ratio histogram, ellipse fan, planning
   curves).
 
-Exit codes: 0 on success, 1 on configuration or usage errors, 2 on
-numerical failures (reported as a JSON object on stderr).
+Exit codes: 0 on success, 1 on usage errors and on the package's
+bad-input errors (the ``ValueError``s of ``errors``), 2 on its other,
+numerical, errors (reported as a JSON object on stderr).
 
 Every subcommand but ``dist`` reads option values from the JSON object
-named by ``--config`` (see the README for its keys), each checked as
-its flag's value is: a flag beats the file, and the file beats the
-built-in default.  The subcommands that draw compressors (``simulate``,
-``ellipse``, ``figures``) take a seed; one set neither way comes from
-the environment variable CRB_COMPRESS_SEED, else 0.  ``--out`` names a
-directory for the outputs and a ``manifest.json`` whose ``config``
-records the resolved options in the keys and types a ``--config`` file
-takes, so feeding it back reruns the command.
+named by ``--config``: a flat map from option name (see the README) to
+a JSON value of its flag's type.  A flag beats the file, and the file
+beats the built-in default.  The subcommands that draw compressors
+(``simulate``, ``ellipse``, ``figures``) take a seed; one set neither
+way comes from the environment variable CRB_COMPRESS_SEED, else 0.
+``--out`` names a directory for the outputs and a ``manifest.json``
+whose ``config`` records the resolved options as the same flat map, so
+feeding it back reruns the command.
 """
 
 from __future__ import annotations
@@ -43,42 +44,17 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, betalaw, fisher, mcharness, planner, svgfig
-from .errors import (
-    BadShape,
-    BadSpec,
-    CrbCompressError,
-    DomainError,
-    Infeasible,
-    NoConvergence,
-    NotPositiveDefinite,
-    RankDeficient,
-    SingularFim,
-    SingularMatrix,
-    TooFewSamples,
-)
-from .randcomp import FAMILIES, CompressorSpec, derive_stream, sample
+from .errors import BadSpec, CrbCompressError, Infeasible
+from .randcomp import FAMILIES, CompressorSpec, check_key, derive_stream, sample
 from .sigmodel import Source, UlaModel, UlaScenario, two_source_half_rayleigh
-
-_CONFIG_ERRORS = (BadSpec, BadShape, DomainError, TooFewSamples)
-_NUMERICAL_ERRORS = (
-    SingularFim,
-    SingularMatrix,
-    RankDeficient,
-    NotPositiveDefinite,
-    NoConvergence,
-    Infeasible,
-)
-
 
 # parsed values a config file cannot set: the subcommand, help, the config
 # file itself, the output directory, the figure selector, and the per-source
-# lists (a file gives scenario.sources instead)
+# lists (a file gives sources instead)
 _FLAG_ONLY = frozenset(
     {"command", "func", "help", "config", "out", "which", "theta", "amplitudes", "phases"}
 )
-# keys a nested config object may hold; each beats the same top-level key
-_NESTED = {"scenario": ("n", "sources"), "compressor": ("m", "family")}
-# the keys of a scenario.sources entry and their defaults
+# the keys of a sources entry and their defaults
 _SOURCE_FIELDS = {f.name: f.default for f in dataclasses.fields(Source)}
 # the JSON values a config file may give an option of each flag type
 _JSON_TYPES = {int: int, float: (int, float), str: str}
@@ -110,12 +86,12 @@ def _options(sub: argparse.ArgumentParser) -> dict:
 
 
 def _file_scalar(key: str, value, kind: type, choices):
-    """One value of option ``key`` as its flag would give it; a string is the flag's text."""
+    """One value of option ``key``: a JSON value of its flag's type ``kind``, as that type."""
     # bool is an int to Python, but no option takes one
-    ok = isinstance(value, str) or (isinstance(value, _JSON_TYPES[kind]) and not isinstance(value, bool))
+    ok = isinstance(value, _JSON_TYPES[kind]) and not isinstance(value, bool)
     try:
         parsed = kind(value) if ok else None
-    except (ValueError, OverflowError):
+    except OverflowError:  # an integer past the float range
         ok = False
     if not ok or (choices is not None and parsed not in choices):
         expected = kind.__name__ if choices is None else f"one of {list(choices)}"
@@ -124,13 +100,12 @@ def _file_scalar(key: str, value, kind: type, choices):
 
 
 def _file_source(entry) -> dict:
-    """A scenario.sources entry: an object with a number ``theta`` and optional ``amplitude`` and ``phase``."""
+    """A sources entry: an object with a number ``theta`` and optional ``amplitude`` and ``phase``."""
     if not isinstance(entry, dict) or "theta" not in entry:
         raise BadSpec(f"config key 'sources' needs objects with a 'theta' key, got {entry!r}")
-    for key, value in entry.items():
-        if key not in _SOURCE_FIELDS or isinstance(value, str):
-            raise BadSpec(f"config key 'sources' entries map some of {list(_SOURCE_FIELDS)} "
-                          f"to numbers, got {key!r}: {value!r}")
+    for key in entry:
+        if key not in _SOURCE_FIELDS:
+            raise BadSpec(f"config key 'sources' entries hold some of {list(_SOURCE_FIELDS)}, got {key!r}")
     return {k: _file_scalar(k, entry.get(k, default), float, None) for k, default in _SOURCE_FIELDS.items()}
 
 
@@ -152,13 +127,12 @@ def _file_value(key: str, value, action):
 def _load_config(path: str, options: dict, known: set) -> dict:
     """The values the JSON object in the file at ``path`` gives for ``options``.
 
-    The file takes the keys and types of the run record (``_record``):
-    option names, with the nested ``scenario`` and ``compressor`` objects
-    laid over the top-level keys.  Each value gets the check its flag
-    gets (a string is parsed as the flag's text; list options need a
-    list).  A key no subcommand has (``known``), a flag-only or an
-    unknown nested key, or a value that fails its check is a BadSpec
-    naming the key; another subcommand's key is skipped.
+    The file is a flat map from option name to value, the layout of the
+    run record (``_record``).  Each value must be a JSON value of its
+    flag's type and passes the flag's check (list options need a list).
+    A key no subcommand has (``known``), a flag-only key, or a value
+    that fails its check is a BadSpec naming the key; another
+    subcommand's key is skipped.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -170,28 +144,14 @@ def _load_config(path: str, options: dict, known: set) -> dict:
     if not isinstance(cfg, dict):
         raise BadSpec(f"config file {path} must hold a JSON object")
     for key in cfg:
-        if key not in known | _NESTED.keys():
+        if key not in known:
             raise BadSpec(f"config key {key!r} names no option a file can set")
-    values = dict(cfg)
-    for name, keys in _NESTED.items():
-        nested = cfg.get(name, {})
-        if not isinstance(nested, dict):
-            raise BadSpec(f"config key {name!r} must be an object")
-        if set(nested) - set(keys):
-            raise BadSpec(f"config key {name!r} holds {sorted(nested)}, expected some of {keys}")
-        values.update(nested)
-    return {k: _file_value(k, v, options[k]) for k, v in values.items() if k in options}
+    return {k: _file_value(k, v, options[k]) for k, v in cfg.items() if k in options}
 
 
 def _record(args, options: dict) -> dict:
-    """The run record: the resolved values of ``options``, in the layout ``_load_config`` reads."""
-    # a nested object is written where the subcommand has all its keys
-    groups = {k: g for g, keys in _NESTED.items() if set(keys) <= options.keys() for k in keys}
-    record = {}
-    for name in options:
-        target = record.setdefault(groups[name], {}) if name in groups else record
-        target[name] = getattr(args, name)
-    return record
+    """The run record: option name -> resolved value, the flat map ``_load_config`` reads."""
+    return {name: getattr(args, name) for name in options}
 
 
 def _resolve_sources(args) -> list[dict]:
@@ -336,7 +296,7 @@ def _cmd_fisher(args, out: Path | None, record: dict) -> list[str]:
         "n": info.n,
         "p": info.p,
         "sigma2": args.sigma2,
-        "scenario": record["scenario"],
+        "scenario": {"n": args.n, "sources": args.sources},
         "crb": bounds,
         "fim": info.J,
     }
@@ -512,7 +472,7 @@ def _fig1(args, record: dict):
         model=UlaModel(two_source_half_rayleigh(n)),
         statistics=("crb_ratio",),
         seed=args.seed,
-        histogram_bins=args.bins,
+        histogram_bins=args.histogram_bins,
     )
     summary = mcharness.run(config)
     hist = summary.histograms["crb_ratio"]
@@ -621,7 +581,7 @@ def _add_scenario_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--amplitudes", type=_float_list, default=None, help="comma separated amplitudes")
     sub.add_argument("--phases", type=_float_list, default=None, help="comma separated phases")
     sub.add_argument("--sigma2", type=float, default=1.0, help="noise power per sample")
-    # a config file's scenario.sources, used when --theta is absent; main resolves it
+    # a config file's sources, used when --theta is absent; main resolves it
     sub.set_defaults(sources=None)
 
 
@@ -701,7 +661,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sub.add_argument("--trials", type=int, default=10000, help="fig1 compressor draws")
     sub.add_argument("--draws", type=int, default=100, help="fig2 compressor draws")
     sub.add_argument("--points", type=int, default=256, help="points per fig2 ellipse")
-    sub.add_argument("--bins", type=int, default=50, help="fig1 histogram bins")
+    sub.add_argument("--bins", dest="histogram_bins", type=int, default=50, help="fig1 histogram bins")
 
     return parser, subs.choices
 
@@ -721,8 +681,8 @@ def main(argv=None) -> int:
             known = {name for sub in subparsers.values() for name in _options(sub)}
             subparsers[args.command].set_defaults(**_load_config(args.config, options, known))
             args = parser.parse_args(argv)
-        if "seed" in options and args.seed is None:
-            args.seed = _default_seed()
+        if "seed" in options:
+            args.seed = check_key(_default_seed() if args.seed is None else args.seed)
         if "sources" in options:
             args.sources = _resolve_sources(args)
         record = _record(args, options)
@@ -744,17 +704,14 @@ def main(argv=None) -> int:
         return 0
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
-    except _CONFIG_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except _NUMERICAL_ERRORS as exc:
+    except CrbCompressError as exc:
+        if isinstance(exc, ValueError):  # bad input
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         payload = {"error": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, Infeasible) and exc.max_confidence is not None:
             payload["max_confidence"] = exc.max_confidence
         print(json.dumps(payload), file=sys.stderr)
-        return 2
-    except CrbCompressError as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

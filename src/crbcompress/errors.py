@@ -1,4 +1,16 @@
-"""Exception taxonomy shared by every module in the package."""
+"""Exception taxonomy shared by every module in the package.
+
+The bad-input classes (``BadShape``, ``BadSpec``, ``DomainError`` and
+``TooFewSamples``) are also ``ValueError``s; the others report a
+numerical failure on valid input.  The command line exits 1 for a
+``ValueError`` and 2 for any other error of this package.
+"""
+
+
+def is_int(value) -> bool:
+    """Whether ``value`` is an int that is not a bool: the rule for counts, indices and seeds."""
+    # bool is an int to Python, but no count, index or seed takes one
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 class CrbCompressError(Exception):

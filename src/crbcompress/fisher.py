@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from . import cxla
-from .errors import BadShape, RankDeficient, SingularFim
+from .errors import BadShape, RankDeficient, SingularFim, is_int
 
 # A parameter counts as unidentifiable when the residual of its Jacobian
 # column against the others falls below this fraction of its norm.
@@ -105,8 +105,8 @@ def crb(info: FimResult, i: int) -> float:
     real-parameter form 2 Re(G^H G) / sigma2 gives the same ratio when
     p = 1.
     """
-    if not 0 <= i < info.p:
-        raise BadShape(f"parameter index {i} out of range for p={info.p}")
+    if not (is_int(i) and 0 <= i < info.p):
+        raise BadShape(f"parameter index must be an int in [0, {info.p}), got {i!r}")
     g = info.G[:, i]
     others = np.delete(info.G, i, axis=1)
     norm_sq = float(np.real(np.vdot(g, g)))

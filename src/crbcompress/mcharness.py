@@ -43,7 +43,7 @@ from typing import Callable
 import numpy as np
 
 from . import betalaw, fisher
-from .errors import BadShape, BadSpec, DomainError, RankDeficient, SingularFim, TooFewSamples
+from .errors import BadShape, BadSpec, DomainError, RankDeficient, SingularFim, TooFewSamples, is_int
 from .randcomp import CompressorSpec, check_key, derive_stream, sample
 from .sigmodel import UlaModel
 
@@ -178,7 +178,7 @@ def _check_alpha(alpha) -> None:
 
 
 def _check_bins(bins) -> None:
-    if not (isinstance(bins, int) and bins >= 1):
+    if not (is_int(bins) and bins >= 1):
         raise BadSpec(f"bins must be a positive int, got {bins!r}")
 
 
@@ -320,7 +320,7 @@ def run(config: ExperimentConfig) -> ExperimentSummary:
         raise BadSpec(f"unknown statistics {unknown}; choose from {STATISTICS}")
     if len(set(requested)) != len(requested):
         raise BadSpec(f"duplicate statistics in {requested}")
-    if not (isinstance(config.trials, int) and config.trials >= 1):
+    if not (is_int(config.trials) and config.trials >= 1):
         raise BadSpec(f"trials must be a positive int, got {config.trials!r}")
     if config.seed is not None:
         check_key(config.seed)

@@ -219,25 +219,10 @@ def curve(
             query = PlanQuery(n=n, p=p, kappa=float(kappa), confidence=float(confidence))
             try:
                 m = min_measurements(query)
-                rows.append(
-                    PlanRow(
-                        kappa=float(kappa),
-                        confidence=float(confidence),
-                        m=m,
-                        ratio=m / n,
-                        feasible=True,
-                    )
-                )
             except Infeasible:
-                rows.append(
-                    PlanRow(
-                        kappa=float(kappa),
-                        confidence=float(confidence),
-                        m=None,
-                        ratio=None,
-                        feasible=False,
-                    )
-                )
+                m = None
+            rows.append(PlanRow(kappa=query.kappa, confidence=query.confidence, m=m,
+                                ratio=None if m is None else m / n, feasible=m is not None))
     return rows
 
 

@@ -23,14 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadSpec
+from .errors import BadSpec, is_int
 
 FAMILIES = ("gaussian", "stiefel")
 
 
 def check_key(value, name: str = "seed") -> int:
     """``value`` if it is an int in [0, 2^64), else BadSpec."""
-    if not (isinstance(value, int) and not isinstance(value, bool) and 0 <= value < 2**64):
+    if not (is_int(value) and 0 <= value < 2**64):
         raise BadSpec(f"{name} must be an int in [0, 2**64), got {value!r}")
     return value
 
@@ -50,7 +50,7 @@ class CompressorSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not (isinstance(self.m, int) and isinstance(self.n, int)):
+        if not (is_int(self.m) and is_int(self.n)):
             raise BadSpec(f"m and n must be ints, got {self.m!r}, {self.n!r}")
         if not 1 <= self.m <= self.n:
             raise BadSpec(f"need 1 <= m <= n, got m={self.m}, n={self.n}")

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import crbcompress
-from crbcompress import cli
+from crbcompress import cli, errors
 from crbcompress.betalaw import BetaLaw, beta_cdf, beta_pdf
 from crbcompress.mcharness import ExperimentConfig, run
 from crbcompress.randcomp import CompressorSpec
@@ -92,6 +92,25 @@ def test_plan_table_mode(tmp_path, capsys):
     assert rows2[1][2] == "" and rows2[1][3] == ""
     assert rows2[2][2] != ""
     capsys.readouterr()
+
+
+_ERRORS = [cls for cls in vars(errors).values()
+           if isinstance(cls, type) and issubclass(cls, errors.CrbCompressError)]
+
+
+@pytest.mark.parametrize("cls", _ERRORS, ids=lambda cls: cls.__name__)
+def test_exit_code_follows_the_error_taxonomy(capsys, monkeypatch, cls):
+    # bad input (a ValueError) exits 1 with a plain message, any other package error 2 with JSON
+    def fail(args, out, record):
+        raise cls("boom")
+
+    monkeypatch.setattr(cli, "_cmd_fisher", fail)
+    code = cli.main(["fisher", "--n", "16"])
+    err = capsys.readouterr().err
+    if issubclass(cls, ValueError):
+        assert code == 1 and err == "error: boom\n"
+    else:
+        assert code == 2 and json.loads(err) == {"error": cls.__name__, "message": "boom"}
 
 
 def test_argparse_problems_exit_one(capsys):
@@ -211,11 +230,10 @@ def test_simulate_seed_from_environment(tmp_path, capsys, monkeypatch):
 
 def test_simulate_config_file_with_flag_override(tmp_path, capsys):
     config = {
-        "scenario": {
-            "n": 16,
-            "sources": [{"theta": 0.0}, {"theta": 0.196349540849362, "amplitude": 1.0}],
-        },
-        "compressor": {"m": 6, "family": "stiefel"},
+        "n": 16,
+        "sources": [{"theta": 0.0}, {"theta": 0.196349540849362, "amplitude": 1.0}],
+        "m": 6,
+        "family": "stiefel",
         "trials": 80,
         "seed": 3,
         "histogram_bins": 10,
@@ -229,7 +247,7 @@ def test_simulate_config_file_with_flag_override(tmp_path, capsys):
     assert payload["trials"] == 90  # flag beats file
     assert payload["config"]["statistics"] == ["crb_ratio"]  # not appended to the file's list
     assert payload["m"] == 6
-    assert payload["config"]["compressor"]["family"] == "stiefel"
+    assert payload["config"]["family"] == "stiefel"
     assert cli.main(["simulate", "--config", str(tmp_path / "missing.json")]) == 1
     capsys.readouterr()
     bad = tmp_path / "bad.json"
@@ -318,6 +336,18 @@ def test_draws_below_one_is_a_config_error(tmp_path, capsys, command, draws):
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+@pytest.mark.parametrize("which", ["fig3", "fig1"])
+def test_figures_seed_out_of_range_writes_nothing(tmp_path, capsys, which, seed):
+    # fig3 draws nothing, but the seed it would record must still be one fig1 can use
+    out = tmp_path / "d"
+    out.mkdir()
+    assert cli.main(["figures", "--which", which, "--n", "16", "--m", "8", "--trials", "100",
+                     "--seed", seed, "--out", str(out)]) == 1
+    assert "seed" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_ellipse_needs_two_parameters(tmp_path, capsys):
     out = tmp_path / "ell1"
     assert cli.main(["ellipse", "--n", "16", "--m", "6", "--theta", "0.3",
@@ -387,18 +417,15 @@ def _write_config(tmp_path, config):
     return str(path)
 
 
-def test_config_nested_objects_beat_top_level_keys(tmp_path, capsys):
-    cfg = _write_config(tmp_path, {
-        "n": 40, "m": 20, "scenario": {"n": 16}, "compressor": {"m": 6},
-        "trials": 50, "seed": 1,
-    })
-    assert cli.main(["simulate", "--config", cfg]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["n"] == 16 and payload["m"] == 6
-    # a string is parsed as the flag's text
-    cfg = _write_config(tmp_path, {"scenario": {"n": 16}, "compressor": {"m": 6}, "trials": "30"})
-    assert cli.main(["simulate", "--config", cfg]) == 0
-    assert json.loads(capsys.readouterr().out)["trials"] == 30
+@pytest.mark.parametrize("nested", ["scenario", "compressor"])
+def test_config_nested_objects_name_no_option(tmp_path, capsys, nested):
+    # a file is flat: the old nested objects are not a second spelling of n, sources, m and family
+    fields = {"scenario": {"n": 16}, "compressor": {"m": 6}}[nested]
+    cfg = _write_config(tmp_path, {"n": 16, "m": 6, "trials": 50, "seed": 1, nested: fields})
+    assert cli.main(["simulate", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: config key {nested!r} names no option a file can set\n"
 
 
 def test_config_seed_beats_environment(tmp_path, capsys, monkeypatch):
@@ -423,7 +450,7 @@ def test_plan_table_reads_lists_from_config(tmp_path, capsys):
 
 def test_figures_reads_bins_from_config(tmp_path, capsys):
     out = tmp_path / "figs"
-    cfg = _write_config(tmp_path, {"bins": 12})
+    cfg = _write_config(tmp_path, {"histogram_bins": 12})
     assert cli.main(["figures", "--config", cfg, "--which", "fig1", "--n", "16", "--m", "8",
                      "--trials", "100", "--seed", "6", "--out", str(out)]) == 0
     capsys.readouterr()
@@ -432,31 +459,29 @@ def test_figures_reads_bins_from_config(tmp_path, capsys):
 
 def test_ellipse_reads_compressor_m_from_config(tmp_path, capsys):
     out = tmp_path / "ell"
-    cfg = _write_config(tmp_path, {"compressor": {"m": 6}})
+    cfg = _write_config(tmp_path, {"m": 6})
     assert cli.main(["ellipse", "--config", cfg, "--n", "16", "--draws", "3",
                      "--points", "8", "--seed", "4", "--out", str(out)]) == 0
     capsys.readouterr()
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["config"]["compressor"]["m"] == 6
+    assert manifest["config"]["m"] == 6
 
 
 def test_config_keys_that_name_no_option_are_errors(tmp_path, capsys):
     # a misspelled key used to run silently with the option's default
     cases = [
-        ({"histogram_bin": 7, "compressor": {"m": 6, "element_variance": 0.5}, "n": 16,
-          "trials": 20}, "histogram_bin"),
-        ({"compressor": {"m": 6, "element_variance": 0.5}, "n": 16, "trials": 20},
-         "element_variance"),
-        ({"scenario": {"n": 16, "type": "ula"}, "m": 6, "trials": 20}, "type"),
+        ({"histogram_bin": 7, "m": 6, "n": 16, "trials": 20}, "histogram_bin"),
+        ({"m": 6, "element_variance": 0.5, "n": 16, "trials": 20}, "element_variance"),
+        ({"n": 16, "type": "ula", "m": 6, "trials": 20}, "type"),
     ]
-    # the per-source lists have no key; a file gives scenario.sources
+    # the per-source lists have no key; a file gives sources
     cases += [({key: [0.1, 0.3], "n": 16, "m": 6, "trials": 20}, key)
               for key in ("theta", "amplitudes", "phases")]
     for cfg, key in cases:
         assert cli.main(["simulate", "--config", _write_config(tmp_path, cfg)]) == 1
         assert key in capsys.readouterr().err
     # another subcommand's key is skipped, so one file serves simulate and figures
-    cfg = _write_config(tmp_path, {"bins": 12, "histogram_bins": 7, "n": 16, "m": 6,
+    cfg = _write_config(tmp_path, {"draws": 12, "histogram_bins": 7, "n": 16, "m": 6,
                                    "trials": 20, "seed": 1})
     assert cli.main(["simulate", "--config", cfg]) == 0
     assert json.loads(capsys.readouterr().out)["config"]["histogram_bins"] == 7
@@ -464,24 +489,29 @@ def test_config_keys_that_name_no_option_are_errors(tmp_path, capsys):
 
 @pytest.mark.parametrize("command, cfg, key", [
     ("simulate", {"trials": 20.7}, "trials"),
-    ("simulate", {"compressor": {"m": 6.9}}, "m"),
+    ("simulate", {"m": 6.9}, "m"),
     ("simulate", {"crb_index": True}, "crb_index"),
     ("simulate", {"seed": 1.5}, "seed"),
     ("simulate", {"sigma2": [1]}, "sigma2"),
     ("simulate", {"sigma2": None}, "sigma2"),
-    ("simulate", {"compressor": {"family": "spherical_rows"}}, "family"),
+    ("simulate", {"family": "spherical_rows"}, "family"),
     ("simulate", {"statistics": "crb_ratio"}, "statistics"),
     ("simulate", {"statistics": ["crb_ratio", "nope"]}, "statistics"),
     ("simulate", {"theta_alt": "0.01,0.08"}, "theta_alt"),
     ("simulate", {"allow_law_violation": 1}, "allow_law_violation"),
-    ("simulate", {"scenario": {"sources": {"theta": 0.1}}}, "sources"),
-    ("simulate", {"scenario": {"sources": [0.1]}}, "sources"),
-    ("simulate", {"scenario": {"sources": [{"theta": 0.1, "amp": 2.0}]}}, "amp"),
-    ("simulate", {"scenario": {"sources": [{"theta": "abc"}]}}, "theta"),
-    ("fisher", {"scenario": {"sources": [{"theta": 0.1, "phase": True}]}}, "phase"),
+    ("simulate", {"sources": {"theta": 0.1}}, "sources"),
+    ("simulate", {"sources": [0.1]}, "sources"),
+    ("simulate", {"sources": [{"theta": 0.1, "amp": 2.0}]}, "amp"),
+    ("simulate", {"sources": [{"theta": "abc"}]}, "theta"),
+    ("fisher", {"sources": [{"theta": 0.1, "phase": True}]}, "phase"),
     ("plan", {"kappas": "1.5,2.0"}, "kappas"),
     ("plan", {"confidences": None}, "confidences"),
-    ("figures", {"bins": False}, "bins"),
+    # figures --bins is stored as histogram_bins, so bins names no option
+    ("figures", {"bins": 12}, "bins"),
+    ("figures", {"histogram_bins": False}, "histogram_bins"),
+    # a number is a JSON number, not the flag's text
+    ("simulate", {"trials": "30"}, "trials"),
+    ("plan", {"kappa": "2.0"}, "kappa"),
 ])
 def test_config_values_get_the_checks_a_flag_gets(tmp_path, capsys, command, cfg, key):
     path = _write_config(tmp_path, {"n": 16, "m": 6, "trials": 120, "kappa": 2.0, "confidence": 0.9,
@@ -522,6 +552,9 @@ def test_manifest_config_reruns_the_command(tmp_path, capsys, argv):
     if str(first) not in printed:  # what names no output directory prints the same
         assert capsys.readouterr().out == printed
     assert json.loads((second / "manifest.json").read_text())["config"] == config
+    # the record is flat: one key per option of the subcommand
+    _, subparsers = cli._build_parser()
+    assert list(config) == list(cli._options(subparsers[argv[0]]))
     outputs = sorted(path.name for path in first.iterdir())
     assert outputs == sorted(path.name for path in second.iterdir())
     for name in outputs:

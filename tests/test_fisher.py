@@ -124,6 +124,14 @@ def test_crb_near_singular_threshold():
         crb(ok, 2)
 
 
+@pytest.mark.parametrize("index", [True, False, 1.0, np.float64(0.0)])
+def test_crb_index_must_be_an_int(index):
+    # True used to fail inside numpy and 1.0 with an IndexError
+    info = fim(np.eye(4, 2, dtype=complex))
+    with pytest.raises(BadShape, match="parameter index"):
+        crb(info, index)
+
+
 def _crb_ratios_in_both_forms(G, phi, i):
     """Per-draw CRB ratio (before / after) under both information forms.
 

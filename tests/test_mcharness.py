@@ -162,6 +162,20 @@ def test_run_rejects_seeds_that_would_collide():
             run(config)
 
 
+@pytest.mark.parametrize("field, value, error, message", [
+    ("crb_index", True, BadShape, "parameter index"),
+    ("crb_index", 1.0, BadShape, "parameter index"),
+    ("trials", True, BadSpec, "trials"),
+    ("histogram_bins", True, BadSpec, "bins"),
+])
+def test_run_rejects_bool_and_float_counts_and_indices(field, value, error, message):
+    # bool is an int to Python: trials=True used to raise TypeError and histogram_bins=True to run
+    config = _doa_config(16, 6, 100, seed=1)
+    setattr(config, field, value)
+    with pytest.raises(error, match=message):
+        run(config)
+
+
 def test_run_validation(monkeypatch):
     import crbcompress.mcharness as mc
 

@@ -25,6 +25,13 @@ def test_spec_validation():
         CompressorSpec(m=4.0, n=8)
 
 
+@pytest.mark.parametrize("m, n", [(True, 16), (1, True), (False, 8)])
+def test_spec_rejects_bool_dimensions(m, n):
+    # bool is an int to Python, and m=True used to be accepted as m=1
+    with pytest.raises(BadSpec, match="m and n must be ints"):
+        CompressorSpec(m=m, n=n)
+
+
 def test_stream_determinism_and_order_independence():
     spec = CompressorSpec(m=3, n=7, family="gaussian", seed=123)
     a = sample(spec, derive_stream(123, 5))
