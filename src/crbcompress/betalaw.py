@@ -97,7 +97,7 @@ from statistics import NormalDist
 import numpy as np
 
 from . import cxla
-from .errors import BadShape, DomainError, NoConvergence, NotPositiveDefinite, SingularMatrix
+from .errors import BadShape, DomainError, NoConvergence, NotPositiveDefinite, SingularMatrix, is_int
 
 # Relative slack allowed outside [0, 1] (or outside the Loewner interval)
 # before a point is rejected as off-support.
@@ -154,6 +154,14 @@ class BetaLaw:
         return self.a * self.b / (s * s * (s + 1.0))
 
 
+def _check_dims(n: int, m: int, p: int = 1) -> None:
+    """The rule every law's dimensions share: ints (not bools), with p >= 1."""
+    if not (is_int(n) and is_int(m) and is_int(p)):
+        raise DomainError(f"dimensions must be ints, got n={n!r}, m={m!r}, p={p!r}")
+    if p < 1:
+        raise DomainError(f"need p >= 1, got p={p}")
+
+
 @dataclass(frozen=True)
 class MatrixBetaLaw:
     """Type-I complex matrix beta law CB_p(m, n - m) on 0 <= V <= I_p.
@@ -167,10 +175,7 @@ class MatrixBetaLaw:
     n: int
 
     def __post_init__(self):
-        if not (isinstance(self.p, int) and isinstance(self.m, int) and isinstance(self.n, int)):
-            raise DomainError("p, m, n must be ints")
-        if self.p < 1:
-            raise DomainError(f"need p >= 1, got p={self.p}")
+        _check_dims(self.n, self.m, self.p)
         if self.m < self.p:
             raise DomainError(f"need m >= p, got m={self.m}, p={self.p}")
         if self.n - self.m < self.p:
@@ -191,7 +196,7 @@ def ln_cmv_gamma(p: int, a: float) -> float:
     ln of pi^{p(p-1)/2} * prod_{i=1..p} Gamma(a - i + 1); requires
     a > p - 1 so every gamma argument is positive.
     """
-    if not (isinstance(p, int) and p >= 1):
+    if not (is_int(p) and p >= 1):
         raise DomainError(f"need integer p >= 1, got {p!r}")
     if not (a > p - 1):
         raise DomainError(f"need a > p - 1, got a={a}, p={p}")
@@ -1090,8 +1095,7 @@ def kl_ratio_law(n: int, m: int) -> BetaLaw:
 
     Beta(m, n - m); valid for 1 <= m < n, whatever the parameter count.
     """
-    if not (isinstance(n, int) and isinstance(m, int)):
-        raise DomainError("n and m must be ints")
+    _check_dims(n, m)
     if not 1 <= m < n:
         raise DomainError(f"need 1 <= m < n, got m={m}, n={n}")
     return BetaLaw(float(m), float(n - m))
@@ -1104,13 +1108,6 @@ class CompressionMoments:
     mean_fim_scale: float
     mean_crb: float
     var_crb: float
-
-
-def _check_dims(n: int, m: int, p: int) -> None:
-    if not (isinstance(n, int) and isinstance(m, int) and isinstance(p, int)):
-        raise DomainError("n, m, p must be ints")
-    if p < 1:
-        raise DomainError(f"need p >= 1, got p={p}")
 
 
 def moments(n: int, m: int, p: int, J, i: int) -> CompressionMoments:
@@ -1129,8 +1126,8 @@ def moments(n: int, m: int, p: int, J, i: int) -> CompressionMoments:
     J = cxla.as_hermitian(J, "J")
     if J.shape[0] != p:
         raise BadShape(f"J must be {p}x{p}, got {J.shape}")
-    if not 0 <= i < p:
-        raise BadShape(f"parameter index {i} out of range for p={p}")
+    if not (is_int(i) and 0 <= i < p):
+        raise BadShape(f"parameter index must be an int in [0, {p}), got {i!r}")
     w = np.linalg.eigvalsh(J)
     if w[-1] <= 0.0 or w[0] <= cxla.PD_TOL * w[-1]:
         raise NotPositiveDefinite("information matrix must be positive definite")

@@ -44,7 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, betalaw, fisher, mcharness, planner, svgfig
-from .errors import BadSpec, CrbCompressError, Infeasible
+from .errors import BadSpec, CrbCompressError, Infeasible, is_int
 from .randcomp import FAMILIES, CompressorSpec, check_key, derive_stream, sample
 from .sigmodel import Source, UlaModel, UlaScenario, two_source_half_rayleigh
 
@@ -400,7 +400,7 @@ def _real_form(info: fisher.FimResult) -> fisher.FimResult:
 def _ellipse_curves(scenario: UlaScenario, sigma2: float, spec: CompressorSpec,
                     draws: int, r2: float | None, points: int):
     """Loci e^T Re(J) e = r2 before and after each draw, and lambda_max of each draw's real-form W."""
-    if not (isinstance(draws, int) and draws >= 1):
+    if not (is_int(draws) and draws >= 1):
         raise BadSpec(f"draws must be a positive int, got {draws!r}")
     model = UlaModel(scenario)
     if model.p != 2:
@@ -677,8 +677,10 @@ def main(argv=None) -> int:
         t0 = time.perf_counter()
         options = _options(subparsers[args.command])
         if args.config is not None:
-            # the file's values become defaults, so flags still beat them
-            known = {name for sub in subparsers.values() for name in _options(sub)}
+            # the file's values become defaults, so flags still beat them;
+            # a key is known if a subcommand that reads files has it
+            known = {name for sub in subparsers.values() if any(a.dest == "config" for a in sub._actions)
+                     for name in _options(sub)}
             subparsers[args.command].set_defaults(**_load_config(args.config, options, known))
             args = parser.parse_args(argv)
         if "seed" in options:

@@ -8,7 +8,7 @@ numerical failure on valid input.  The command line exits 1 for a
 
 
 def is_int(value) -> bool:
-    """Whether ``value`` is an int that is not a bool: the rule for counts, indices and seeds."""
+    """Whether ``value`` is an int that is not a bool: the rule for counts, indices, dimensions and seeds."""
     # bool is an int to Python, but no count, index or seed takes one
     return isinstance(value, int) and not isinstance(value, bool)
 

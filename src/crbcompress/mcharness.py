@@ -328,7 +328,7 @@ def run(config: ExperimentConfig) -> ExperimentSummary:
     _check_alpha(config.ks_alpha)
     _check_bins(config.histogram_bins)
     # the field goes with the next benchmark change, which stops passing threads=1
-    if not (isinstance(config.threads, int) and config.threads == 1):
+    if not (is_int(config.threads) and config.threads == 1):
         raise BadSpec(f"threads must be 1 (campaigns run on one thread), got {config.threads!r}")
 
     model, spec = config.model, config.compressor

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from . import betalaw, cxla
-from .errors import BadShape, DomainError, Infeasible, NoConvergence, NotPositiveDefinite
+from .errors import BadShape, DomainError, Infeasible, NoConvergence, NotPositiveDefinite, is_int
 
 DEFAULT_CONFIDENCES = (0.90, 0.99)
 
@@ -40,7 +40,7 @@ class PlanQuery:
     confidence: float
 
     def __post_init__(self):
-        if not (isinstance(self.n, int) and isinstance(self.p, int)):
+        if not (is_int(self.n) and is_int(self.p)):
             raise DomainError("n and p must be ints")
         if self.p < 1:
             raise DomainError(f"need p >= 1, got p={self.p}")
@@ -70,20 +70,15 @@ def confidence_at(n: int, m: int, p: int, kappa: float) -> float:
     is its upper tail at 1/kappa, computed directly rather than as one
     minus the cdf, so small confidences keep their relative precision.
     By the binomial identity I_x(a, b) = P[Binomial(a + b - 1, x) >= a]
-    it equals P[Binomial(n - p, 1/kappa) <= m - p].  Requires
-    p < m <= n - p.
+    it equals P[Binomial(n - p, 1/kappa) <= m - p].  Takes the law's
+    domain p < m < n, which ``betalaw.crb_ratio_law`` checks.
     """
-    if not (isinstance(n, int) and isinstance(m, int) and isinstance(p, int)):
-        raise DomainError("n, m, p must be ints")
-    if p < 1:
-        raise DomainError(f"need p >= 1, got p={p}")
-    if not p < m <= n - p:
-        raise DomainError(f"need p < m <= n - p, got p={p}, m={m}, n={n}")
+    law = betalaw.crb_ratio_law(n, m, p)
     if not (kappa > 0.0 and math.isfinite(kappa)):
         raise DomainError(f"kappa must be positive and finite, got {kappa}")
     if kappa <= 1.0:
         return 0.0
-    return _exact(n, m, p, 1.0 / kappa)[0]
+    return betalaw.beta_sf(law, 1.0 / kappa)
 
 
 def _exact(n: int, m: int, p: int, x: float) -> tuple[float, float]:
@@ -124,7 +119,7 @@ def _walk(trials: int, x: float, k: int, c: float, confidence: float, lo: int, h
 
 
 def min_measurements(query: PlanQuery) -> int:
-    """Smallest m with confidence_at(n, m, p, kappa) >= confidence.
+    """Smallest m in p + 2 <= m <= n - 1 with confidence_at(n, m, p, kappa) >= confidence.
 
     The confidence is P[Binomial(n - p, 1/kappa) <= m - p], nondecreasing
     in m, so the search starts at the Cornish-Fisher quantile of that
@@ -138,15 +133,15 @@ def min_measurements(query: PlanQuery) -> int:
     m = p + 2 nothing below is checked.  A confirmation that fails
     re-anchors the walk at the exact value; after _MAX_CONFIRMATIONS of
     them the search raises NoConvergence.  Raises Infeasible (carrying
-    the best achievable confidence, an exact value) when even m = n - p
+    the best achievable confidence, an exact value) when even m = n - 1
     falls short.
     """
     n, p, kappa, confidence = query.n, query.p, query.kappa, query.confidence
     lo = p + 2
-    hi = n - p
+    hi = n - 1
     if hi < lo:
         raise Infeasible(
-            f"no admissible m exists for n={n}, p={p} (need p + 2 <= m <= n - p)",
+            f"no admissible m exists for n={n}, p={p} (need p + 2 <= m <= n - 1)",
             max_confidence=0.0,
         )
     # m -> (confidence_at(m), density of its law at x)
@@ -239,7 +234,7 @@ def ellipse_locus(J, r2: float, points: int = 256) -> np.ndarray:
         raise BadShape(f"ellipse loci are defined for 2x2 matrices, got {J.shape}")
     if not (r2 > 0.0 and math.isfinite(r2)):
         raise DomainError(f"level r2 must be positive and finite, got {r2}")
-    if not (isinstance(points, int) and points >= 3):
+    if not (is_int(points) and points >= 3):
         raise DomainError(f"need at least 3 points, got {points!r}")
     a = np.real(J)
     a = 0.5 * (a + a.T)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadShape, BadSpec
+from .errors import BadShape, BadSpec, is_int
 
 
 def _reduce_angle(theta: float) -> float:
@@ -41,8 +41,8 @@ class UlaScenario:
     sources: tuple[Source, ...]
 
     def __post_init__(self):
-        if self.n < 2:
-            raise BadSpec(f"array needs at least 2 sensors, got n={self.n}")
+        if not (is_int(self.n) and self.n >= 2):
+            raise BadSpec(f"array needs an int n >= 2 sensors, got n={self.n!r}")
         if len(self.sources) == 0:
             raise BadSpec("scenario needs at least one source")
         for s in self.sources:

@@ -487,6 +487,13 @@ def test_config_keys_that_name_no_option_are_errors(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["config"]["histogram_bins"] == 7
 
 
+def test_dist_options_are_no_config_keys(tmp_path, capsys):
+    # dist reads no file, so its options are no keys a file can set
+    cfg = _write_config(tmp_path, {"at": 0.5, "eval": "pdf", "n": 16, "m": 6, "trials": 20})
+    assert cli.main(["simulate", "--config", cfg]) == 1
+    assert "'at'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command, cfg, key", [
     ("simulate", {"trials": 20.7}, "trials"),
     ("simulate", {"m": 6.9}, "m"),

@@ -1,6 +1,8 @@
 """Measurement planning and concentration ellipse loci."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,7 +38,7 @@ def test_confidence_matches_the_binomial_cdf():
     for n in (8, 13, 40, 97, 200):
         for p in (1, 2, 4):
             for kappa in (1.1, 1.5, 2.0, 3.0):
-                ms = range(p + 1, n - p + 1)
+                ms = range(p + 1, n)
                 values = [confidence_at(n, m, p, kappa) for m in ms]
                 ref = scipy.stats.binom.cdf([m - p for m in ms], n - p, 1.0 / kappa)
                 np.testing.assert_allclose(values, ref, rtol=1e-12)
@@ -50,12 +52,24 @@ def test_confidence_edge_cases():
     assert confidence_at(64, 24, 2, 1.0) == 0.0
     assert confidence_at(64, 24, 2, 0.5) == 0.0
     assert confidence_at(64, 24, 2, 1e12) > 1.0 - 1e-12
+    # the law's domain p < m < n, up to m = n - 1
+    assert confidence_at(64, 63, 2, 2.0) == beta_sf(crb_ratio_law(64, 63, 2), 0.5)
     with pytest.raises(DomainError):
         confidence_at(64, 2, 2, 2.0)
     with pytest.raises(DomainError):
-        confidence_at(64, 63, 2, 2.0)
+        confidence_at(64, 64, 2, 2.0)
     with pytest.raises(DomainError):
         confidence_at(64, 24, 2, -1.0)
+    # a bad shape raises even where kappa <= 1 needs no law value
+    with pytest.raises(DomainError):
+        confidence_at(64, 64, 2, 1.0)
+
+
+def test_min_measurements_reaches_past_n_minus_p():
+    # m = 7 > n - p is the first m to reach the target: P[Binomial(6, 2/3) <= m - 2]
+    np.testing.assert_allclose(confidence_at(8, 6, 2, 1.5), 473 / 729, rtol=1e-14)  # 0.649
+    np.testing.assert_allclose(confidence_at(8, 7, 2, 1.5), 665 / 729, rtol=1e-14)  # 0.912
+    assert min_measurements(PlanQuery(n=8, p=2, kappa=1.5, confidence=0.9)) == 7
 
 
 def test_confidence_monotone_in_m():
@@ -68,7 +82,7 @@ def _bulk_ms(n, p, kappa, offsets):
     """Admissible m at the given sd offsets from the binomial's mean."""
     trials, x = n - p, 1.0 / kappa
     mean, sd = trials * x, math.sqrt(trials * x * (1.0 - x))
-    return sorted({min(max(p + round(mean + j * sd), p + 2), n - p) for j in offsets})
+    return sorted({min(max(p + round(mean + j * sd), p + 2), n - 1) for j in offsets})
 
 
 @pytest.mark.parametrize("n", [128, 10**4, 10**6])
@@ -124,11 +138,11 @@ def test_min_measurements_boundary_property():
 
 def _scan(n, p, kappa, confidence):
     """Linear-scan answer: the smallest admissible m, or the best confidence."""
-    values = {m: confidence_at(n, m, p, kappa) for m in range(p + 2, n - p + 1)}
+    values = {m: confidence_at(n, m, p, kappa) for m in range(p + 2, n)}
     for m, value in values.items():
         if value >= confidence:
             return m, None
-    return None, values.get(n - p, 0.0)
+    return None, values.get(n - 1, 0.0)
 
 
 def test_min_measurements_matches_a_linear_scan():
@@ -161,8 +175,8 @@ def _binomial_plan(n, p, kappa, confidence):
         k += 1
     while law.cdf(k - 1) >= confidence:
         k -= 1
-    if k + p > n - p:
-        return None, law.cdf(n - 2 * p)
+    if k + p > n - 1:
+        return None, law.cdf(n - 1 - p)
     return max(k + p, p + 2), None
 
 
@@ -198,6 +212,19 @@ def test_plan_queries_evaluate_no_second_density(monkeypatch):
     assert kinds == {"infeasible", "feasible"}
 
 
+def test_plan_answers_match_the_benchmark_oracle():
+    # every laws-plan reference answer: its m, or Infeasible where it has none
+    table = json.loads((Path(__file__).parents[1] / "perfbench" / "oracle_table.json").read_text())
+    assert len(table["plan"]) == 60
+    for e in table["plan"]:
+        query = PlanQuery(n=e["n"], p=e["p"], kappa=e["kappa"], confidence=e["confidence"])
+        if e["infeasible"]:
+            with pytest.raises(Infeasible):
+                min_measurements(query)
+        else:
+            assert min_measurements(query) == e["m"], e
+
+
 def test_min_measurements_raises_when_the_walk_cannot_be_confirmed(monkeypatch):
     # exact values that contradict the binomial walk at every anchor
     monkeypatch.setattr(planner, "_exact", lambda n, m, p, x: (1.0, 0.0))
@@ -214,7 +241,7 @@ def test_min_measurements_infeasible_carries_the_best_confidence():
     with pytest.raises(Infeasible) as exc_info:
         min_measurements(query)
     best = exc_info.value.max_confidence
-    np.testing.assert_allclose(best, confidence_at(16, 14, 2, 1.0001), rtol=1e-14)
+    np.testing.assert_allclose(best, confidence_at(16, 15, 2, 1.0001), rtol=1e-14)
     assert 0.0 <= best < 0.999
 
 
