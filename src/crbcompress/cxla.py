@@ -1,10 +1,13 @@
 """Dense complex linear algebra kernels.
 
-Orthonormal bases, Hermitian roots, and stable log-determinants, all on
-plain ``numpy`` arrays in ``complex128``.  A full-rank basis costs one
-QR: its triangular factor carries the singular values that decide the
-rank verdict.  Routines that produce Hermitian matrices re-symmetrize
-the result so downstream ``eigh`` calls never see accumulated asymmetry.
+Orthonormal bases, coordinates in a column space, Hermitian roots, and
+stable log-determinants, all on plain ``numpy`` arrays in ``complex128``.
+A full-rank basis costs one QR: its triangular factor carries the
+singular values that decide the rank verdict.  Coordinates in the
+column space of B cost one R-only QR of [B | A]: the leading block R11
+decides the verdict and the block R12 beside it is Q^H A, so Q is never
+formed.  Routines that produce Hermitian matrices re-symmetrize the
+result so downstream ``eigh`` calls never see accumulated asymmetry.
 """
 
 from __future__ import annotations
@@ -63,16 +66,44 @@ def orthonormal_columns(m) -> np.ndarray:
     values of ``m``.
     """
     m = as_complex_matrix(m)
+    _check_tall(m)
+    q, r = np.linalg.qr(m)
+    _check_full_rank(r, m.shape)
+    return q
+
+
+def column_space_coordinates(basis: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Q^H a, for Q an orthonormal basis of the columns of ``basis``.
+
+    ``basis`` is n-by-m and ``a`` n-by-k, both finite complex128 arrays
+    (the caller validates them).  One R-only QR of [basis | a] gives
+    both answers without forming Q: the leading m-by-m block R11 is the
+    R of ``basis`` alone, so its singular values give the rank verdict
+    of :func:`orthonormal_columns` (RankDeficient, same message), and
+    the m-by-k block R12 beside it is Q^H a.  The coordinates keep every
+    inner product of the projection Q Q^H a, so (Q^H a)^H (Q^H a) is its
+    Gram matrix.
+    """
+    _check_tall(basis)
+    m = basis.shape[1]
+    r = np.linalg.qr(np.hstack([basis, a]), mode="r")
+    _check_full_rank(r[:m, :m], basis.shape)
+    return r[:m, m:]
+
+
+def _check_tall(m: np.ndarray) -> None:
     if m.shape[0] < m.shape[1]:
         raise BadShape(f"matrix of shape {m.shape} has fewer rows than columns")
-    q, r = np.linalg.qr(m)
+
+
+def _check_full_rank(r: np.ndarray, shape: tuple) -> None:
+    """RankDeficient unless the square triangular factor ``r`` of a ``shape`` matrix has full rank."""
     s = np.linalg.svd(r, compute_uv=False)
     if s[0] == 0.0 or s[-1] <= RANK_TOL * s[0]:
         raise RankDeficient(
-            f"matrix of shape {m.shape} is rank deficient "
+            f"matrix of shape {shape} is rank deficient "
             f"(smallest/largest singular value = {s[-1]:.3e}/{s[0]:.3e})"
         )
-    return q
 
 
 def orthonormal_range(m) -> np.ndarray:

@@ -7,7 +7,12 @@ parameter i is the i-th diagonal entry of its inverse, computable
 without inversion by projecting column i against the others.
 
 Compression by a wide matrix Phi replaces G with its projection onto
-the row space of Phi; everything downstream is unchanged.  The KL
+the row space of Phi; everything downstream is unchanged.  Only inner
+products of the projection matter, so a compressed result stores its
+coordinates Q^H G in an orthonormal basis Q of that row space, an
+m-by-p matrix with the same J, the same bounds and the same real form
+as the n-by-p projection Q Q^H G; ``cxla.column_space_coordinates``
+reads them off one R-only QR of [Phi^H | G], without forming Q.  The KL
 divergence between two mean vectors is the same computation for the
 single column x1 - x2, so ``compressed_kl`` and ``compressed_fim``
 share one row-space projection.  Arbitrary Jacobians enter through
@@ -38,7 +43,11 @@ class FimResult:
     """Information matrix J together with the Jacobian that produced it.
 
     ``J`` equals G^H G / sigma2 up to Hermitian symmetrization, so the
-    matrix is always reconstructible from the stored pieces.
+    matrix is always reconstructible from the stored pieces.  For
+    ``compressed_fim`` G holds the m-by-p coordinates of the projected
+    Jacobian in an orthonormal basis of Phi's row space: the same J,
+    bounds and real form [Re G; Im G] information as the n-by-p
+    projection itself.
     """
 
     J: np.ndarray
@@ -47,6 +56,7 @@ class FimResult:
 
     @property
     def n(self) -> int:
+        """Row count of G: the data dimension n for ``fim``, m for ``compressed_fim``."""
         return self.G.shape[0]
 
     @property
@@ -120,20 +130,24 @@ def crb(info: FimResult, i: int) -> float:
 
 
 def _project_onto_rows(a: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """The columns of ``a`` projected onto the row space of the full-row-rank ``phi``."""
+    """Coordinates Q^H a of ``a``'s columns, Q an orthonormal basis of ``phi``'s row space.
+
+    ``phi`` is validated by the caller; RankDeficient unless it has full row rank.
+    """
     try:
-        q = cxla.orthonormal_columns(phi.conj().T)
+        return cxla.column_space_coordinates(phi.conj().T, a)
     except RankDeficient as exc:
         raise RankDeficient(f"phi does not have full row rank: {exc}") from exc
-    return q @ (q.conj().T @ a)
 
 
 def compressed_fim(G, phi, sigma2: float = 1.0) -> FimResult:
     """Information after observing Phi x instead of x.
 
-    The stored Jacobian is the projection of G onto the row space of
-    Phi, so the result plugs into :func:`crb` unchanged.  Phi must be
-    m-by-n with full row rank and p < m <= n.
+    The stored Jacobian is the m-by-p matrix Y = Q^H G of coordinates
+    of G's projection onto the row space of Phi (Q an orthonormal basis
+    of it), and Jhat = Y^H Y / sigma2.  Y has the Gram matrix of the
+    projection, so the result plugs into :func:`crb` unchanged.  Phi
+    must be m-by-n with full row rank and p < m <= n.
     """
     G = cxla.as_complex_matrix(G, "G")
     phi = cxla.as_complex_matrix(phi, "phi")
@@ -144,9 +158,9 @@ def compressed_fim(G, phi, sigma2: float = 1.0) -> FimResult:
     if not p < m <= n:
         raise BadShape(f"need p < m <= n, got p={p}, m={m}, n={n}")
     sigma2 = _noise_power(sigma2)
-    g_hat = _project_onto_rows(G, phi)
-    j_hat = cxla.hermitian_part(g_hat.conj().T @ g_hat) / sigma2
-    return FimResult(J=j_hat, G=g_hat, sigma2=sigma2)
+    y = _project_onto_rows(G, phi)
+    j_hat = cxla.hermitian_part(y.conj().T @ y) / sigma2
+    return FimResult(J=j_hat, G=y, sigma2=sigma2)
 
 
 def normalized_fim(before: FimResult, after: FimResult) -> np.ndarray:
@@ -188,7 +202,8 @@ def compressed_kl(x1, x2, sigma2: float, phi) -> float:
     The means become Phi x and the covariance sigma2 Phi Phi^H, so the
     divergence is ||P (x1 - x2)||^2 / sigma2 with P the row-space
     projector of Phi: the compressed information of the single column
-    x1 - x2.  Phi must be m-by-n with full row rank and m <= n.
+    x1 - x2, computed as ||Q^H (x1 - x2)||^2 / sigma2.  Phi must be
+    m-by-n with full row rank and m <= n.
     """
     delta = _mean_difference(x1, x2)
     phi = cxla.as_complex_matrix(phi, "phi")
@@ -196,5 +211,5 @@ def compressed_kl(x1, x2, sigma2: float, phi) -> float:
     if phi.shape[1] != n or phi.shape[0] > n:
         raise BadShape(f"phi must be m-by-{n} with m <= {n}, got {phi.shape}")
     sigma2 = _noise_power(sigma2)
-    d_hat = _project_onto_rows(delta, phi)
+    d_hat = _project_onto_rows(delta[:, None], phi)
     return float(np.real(np.vdot(d_hat, d_hat))) / sigma2

@@ -119,7 +119,7 @@ def _walk(trials: int, x: float, k: int, c: float, confidence: float, lo: int, h
 
 
 def min_measurements(query: PlanQuery) -> int:
-    """Smallest m in p + 2 <= m <= n - 1 with confidence_at(n, m, p, kappa) >= confidence.
+    """Smallest m in p + 1 <= m <= n - 1 with confidence_at(n, m, p, kappa) >= confidence.
 
     The confidence is P[Binomial(n - p, 1/kappa) <= m - p], nondecreasing
     in m, so the search starts at the Cornish-Fisher quantile of that
@@ -130,20 +130,16 @@ def min_measurements(query: PlanQuery) -> int:
     1/kappa, which the kernel evaluation of the exact value returns with
     it; only when the difference lies within its rounding error of the
     target is confidence_at(m - 1) evaluated exactly.  On the floor
-    m = p + 2 nothing below is checked.  A confirmation that fails
-    re-anchors the walk at the exact value; after _MAX_CONFIRMATIONS of
-    them the search raises NoConvergence.  Raises Infeasible (carrying
-    the best achievable confidence, an exact value) when even m = n - 1
-    falls short.
+    m = p + 1, the smallest m of the law, nothing below is checked.  A
+    confirmation that fails re-anchors the walk at the exact value; after
+    _MAX_CONFIRMATIONS of them the search raises NoConvergence.  Raises
+    Infeasible (carrying the best achievable confidence, an exact value)
+    when even m = n - 1 falls short.
     """
     n, p, kappa, confidence = query.n, query.p, query.kappa, query.confidence
-    lo = p + 2
+    # PlanQuery's n > p + 1 leaves at least one m to search
+    lo = p + 1
     hi = n - 1
-    if hi < lo:
-        raise Infeasible(
-            f"no admissible m exists for n={n}, p={p} (need p + 2 <= m <= n - 1)",
-            max_confidence=0.0,
-        )
     # m -> (confidence_at(m), density of its law at x)
     exact: dict[int, tuple[float, float]] = {}
 

@@ -26,6 +26,16 @@ def finite_diff_jacobian(model: UlaModel, theta, h: float = 1e-6) -> np.ndarray:
     return g
 
 
+def explicit_basis_projection(a: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Columns of ``a`` projected onto the row space of ``phi`` through an explicit basis.
+
+    Q from a numpy QR of phi^H, then Q (Q^H a): the n-row projection whose
+    inner products the library's coordinates Q^H a keep.
+    """
+    q = np.linalg.qr(phi.conj().T)[0]
+    return q @ (q.conj().T @ a)
+
+
 def ks_two_sample(a, b, alpha: float = 0.01) -> KsResult:
     """Two-sample KS test for samples drawn from a common law."""
     if alpha not in KS_CRITICAL:

@@ -5,6 +5,7 @@ import pytest
 
 from crbcompress import cxla
 from crbcompress.errors import BadShape, NotPositiveDefinite, RankDeficient, SingularMatrix
+from crbcompress.fisher import compressed_fim
 
 
 def _random_complex(rng, shape):
@@ -78,6 +79,33 @@ def test_orthonormal_columns_verdict_reads_singular_values_not_the_r_diagonal():
     s = np.linalg.svd(m, compute_uv=False)
     assert s[-1] / s[0] > 100 * cxla.RANK_TOL
     assert cxla.orthonormal_columns(m).shape == (80, 24)
+
+
+def test_compressed_fim_shares_the_verdict():
+    # the same two inputs as rows of phi: R11 of the R-only QR of
+    # [phi^H | G] has phi's singular values, not a better-looking diagonal
+    rng = np.random.default_rng(20)
+    g = _random_complex(rng, (80, 2))
+    basis = _frame_times_unit_triangle(rng, 40)
+    with pytest.raises(RankDeficient, match="phi does not have full row rank"):
+        compressed_fim(g, basis.conj().T)
+    with pytest.raises(RankDeficient):
+        cxla.column_space_coordinates(basis, g)
+    basis = _frame_times_unit_triangle(rng, 24)
+    assert compressed_fim(g, basis.conj().T).G.shape == (24, 2)
+
+
+@pytest.mark.parametrize("shape, k", [((8, 3), 1), ((32, 16), 2), ((128, 64), 2), ((5, 5), 3)])
+def test_column_space_coordinates_are_q_conjugate_transpose_a(shape, k):
+    # Q from numpy's QR of the basis alone; the augmented QR uses the same
+    # reflectors on the leading columns, so the coordinates are in that Q
+    rng = np.random.default_rng(22)
+    basis = _random_complex(rng, shape)
+    a = _random_complex(rng, (shape[0], k))
+    q = np.linalg.qr(basis)[0]
+    y = cxla.column_space_coordinates(basis, a)
+    assert y.shape == (shape[1], k)
+    np.testing.assert_allclose(y, q.conj().T @ a, rtol=0.0, atol=1e-12 * np.abs(a).max() * shape[0])
 
 
 @pytest.mark.parametrize("shape", [(8, 3), (32, 16), (128, 64), (5, 5)])
@@ -160,3 +188,5 @@ def test_shape_validation():
     # a wide matrix has no full-column-rank basis of its own shape
     with pytest.raises(BadShape):
         cxla.orthonormal_columns(np.ones((2, 3)))
+    with pytest.raises(BadShape):
+        cxla.column_space_coordinates(np.ones((2, 3)), np.ones((2, 1)))

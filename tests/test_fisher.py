@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from crbcompress import cxla, fisher
 from crbcompress.errors import BadShape, RankDeficient, SingularFim
 from crbcompress.fisher import (
     compressed_fim,
@@ -14,6 +15,8 @@ from crbcompress.fisher import (
 )
 from crbcompress.randcomp import CompressorSpec, derive_stream, sample
 from crbcompress.sigmodel import Source, UlaModel, UlaScenario, two_source_half_rayleigh
+
+from oracles import explicit_basis_projection
 
 
 def crb_angle_form(G, sigma2, i):
@@ -216,23 +219,63 @@ def test_compressed_fim_errors():
 
 
 def test_compressed_fim_factors_the_compressor_once(monkeypatch):
-    # one QR of phi^H gives the basis and the rank verdict; a second
-    # factorization of the n-by-m matrix would double the kernel's cost
+    # one R-only QR of [phi^H | G] gives the rank verdict (from its m-by-m
+    # block R11) and the coordinates Q^H G (the block R12 beside it); the
+    # n-by-m basis Q itself is never formed
     model = UlaModel(two_source_half_rayleigh(128))
     G = model.jacobian(model.reference_theta)
     phi = sample(CompressorSpec(m=64, n=128, family="gaussian", seed=3), derive_stream(3, 0))
-    shapes = {"qr": [], "svd": []}
-    for name in shapes:
+    calls = {"qr": [], "svd": []}
+    for name in calls:
         real = getattr(np.linalg, name)
 
         def record(a, *args, _real=real, _name=name, **kwargs):
-            shapes[_name].append(np.shape(a))
+            calls[_name].append((np.shape(a), kwargs.get("mode", args[0] if args else None)))
             return _real(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, record)
-    compressed_fim(G, phi)
-    assert shapes["qr"] == [(128, 64)]
-    assert set(shapes["svd"]) <= {(64, 64)}
+
+    def no_basis(m):
+        raise AssertionError(f"an explicit basis of shape {np.shape(m)} was formed")
+
+    monkeypatch.setattr(fisher.cxla, "orthonormal_columns", no_basis)
+    info = compressed_fim(G, phi)
+    assert calls["qr"] == [((128, 66), "r")]
+    assert {shape for shape, _ in calls["svd"]} <= {(64, 64)}
+    assert info.G.shape == (64, 2)
+
+
+@pytest.mark.parametrize("family", ["gaussian", "stiefel"])
+@pytest.mark.parametrize("n, m, sources", [(128, 64, 2), (32, 16, 2), (32, 32, 2), (32, 3, 2), (32, 16, 1)])
+def test_compressed_results_match_an_explicit_basis(family, n, m, sources):
+    # the coordinates Q^H G keep every inner product of the projection
+    # Q Q^H G, so J, the bound, the KL divergence and W agree with the
+    # explicit-basis oracle to rounding (1e-12 relative)
+    scenario = two_source_half_rayleigh(n)
+    model = UlaModel(UlaScenario(n=n, sources=scenario.sources[:sources]))
+    G = model.jacobian(model.reference_theta)
+    theta_alt = model.reference_theta + 0.01
+    x1, x2 = model.mean(model.reference_theta), model.mean(theta_alt)
+    before = fim(G, 0.7)
+    spec = CompressorSpec(m=m, n=n, family=family, seed=41)
+    for t in range(5):
+        phi = sample(spec, derive_stream(41, t))
+        after = compressed_fim(G, phi, 0.7)
+        g_hat = explicit_basis_projection(G, phi)
+        j_oracle = cxla.hermitian_part(g_hat.conj().T @ g_hat) / 0.7
+        oracle = fisher.FimResult(J=j_oracle, G=g_hat, sigma2=0.7)
+        assert np.linalg.norm(after.J - j_oracle) <= 1e-12 * np.linalg.norm(j_oracle)
+        for i in range(sources):
+            np.testing.assert_allclose(crb(before, i) / crb(after, i), crb(before, i) / crb(oracle, i), rtol=1e-12)
+        d_hat = explicit_basis_projection((x1 - x2)[:, None], phi)
+        np.testing.assert_allclose(
+            compressed_kl(x1, x2, 0.7, phi), np.vdot(d_hat, d_hat).real / 0.7, rtol=1e-12
+        )
+        np.testing.assert_allclose(
+            np.linalg.eigvalsh(normalized_fim(before, after)),
+            np.linalg.eigvalsh(normalized_fim(before, oracle)),
+            rtol=1e-12,
+        )
 
 
 def test_compression_never_improves_the_bound():

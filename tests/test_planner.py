@@ -138,7 +138,7 @@ def test_min_measurements_boundary_property():
 
 def _scan(n, p, kappa, confidence):
     """Linear-scan answer: the smallest admissible m, or the best confidence."""
-    values = {m: confidence_at(n, m, p, kappa) for m in range(p + 2, n)}
+    values = {m: confidence_at(n, m, p, kappa) for m in range(p + 1, n)}
     for m, value in values.items():
         if value >= confidence:
             return m, None
@@ -159,7 +159,7 @@ def test_min_measurements_matches_a_linear_scan():
                             min_measurements(query)
                         assert exc_info.value.max_confidence == best
                     else:
-                        kinds.add("floor" if m_scan == p + 2 else "interior")
+                        kinds.add("floor" if m_scan == p + 1 else "interior")
                         assert min_measurements(query) == m_scan, (n, p, kappa, confidence)
     assert kinds == {"infeasible", "floor", "interior"}
 
@@ -177,7 +177,7 @@ def _binomial_plan(n, p, kappa, confidence):
         k -= 1
     if k + p > n - 1:
         return None, law.cdf(n - 1 - p)
-    return max(k + p, p + 2), None
+    return max(k + p, p + 1), None
 
 
 @pytest.mark.parametrize("p", [1, 2, 4])
@@ -233,7 +233,9 @@ def test_min_measurements_raises_when_the_walk_cannot_be_confirmed(monkeypatch):
 
 
 def test_min_measurements_generous_kappa_hits_the_floor():
-    assert min_measurements(PlanQuery(n=64, p=2, kappa=1e6, confidence=0.9)) == 4
+    # m = p + 1 is the law's smallest m, and already confident here
+    assert confidence_at(64, 3, 2, 1e6) >= 0.9
+    assert min_measurements(PlanQuery(n=64, p=2, kappa=1e6, confidence=0.9)) == 3
 
 
 def test_min_measurements_infeasible_carries_the_best_confidence():

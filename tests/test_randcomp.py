@@ -55,6 +55,19 @@ def test_stream_keys_outside_the_philox_range_are_rejected():
     assert derive_stream(2**64 - 1, 2**64 - 1).standard_normal() != derive_stream(0, 0).standard_normal()
 
 
+@pytest.mark.parametrize("seed", [0, 2**63 + 5])
+@pytest.mark.parametrize("m, n", [(64, 128), (16, 32)])
+def test_gaussian_draw_is_bit_identical_to_the_scaled_sum(seed, m, n):
+    # real parts then imaginary parts, each scaled by sqrt(1/2): the same
+    # bits as the expression with its complex temporaries
+    spec = CompressorSpec(m=m, n=n, family="gaussian", seed=seed)
+    rng = derive_stream(seed, 7)
+    old = np.sqrt(0.5) * (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)))
+    new = sample(spec, derive_stream(seed, 7))
+    assert new.dtype == np.complex128 and new.shape == (m, n)
+    assert new.tobytes() == old.tobytes()
+
+
 def test_gaussian_entry_moments():
     spec = CompressorSpec(m=200, n=500, family="gaussian", seed=77)
     phi = sample(spec, derive_stream(77, 0))
