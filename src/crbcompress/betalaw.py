@@ -81,6 +81,13 @@ coefficients come from: Temme's d_i are polynomials in the shape ratio
 h, built once per process on first use and evaluated for a law, all
 d_1..d_21 at once, by one matrix product; it depends on no law.
 
+The three matrix densities (of W, of its eigenvalues and of Jhat) are
+one law in three coordinates, so they share one private spectrum
+density: it takes the spectra of W and of I - W and holds the only
+support check (SUPPORT_TOL slack in those spectra, whatever the scale
+of J), the clipping and the boundary rule (an eigenvalue at 0 gives
+-inf when its determinant's exponent is positive).
+
 Convention for eigenvalue densities: symmetric in the arguments, so the
 value integrates to p! over the unit cube, or equivalently to 1 over
 the ordered sector.  Multiply by nothing for ordered points; divide by
@@ -97,10 +104,10 @@ from statistics import NormalDist
 import numpy as np
 
 from . import cxla
-from .errors import BadShape, DomainError, NoConvergence, NotPositiveDefinite, SingularMatrix, is_int
+from .errors import BadShape, DomainError, NoConvergence, NotPositiveDefinite, is_int
 
-# Relative slack allowed outside [0, 1] (or outside the Loewner interval)
-# before a point is rejected as off-support.
+# Slack allowed below 0 in the spectrum of W or of I - W before a matrix
+# point is rejected as off-support; also the [0, 1] slack of sampled ratios.
 SUPPORT_TOL = 1e-10
 
 _CF_MAX_ITER = 200
@@ -964,17 +971,31 @@ def beta_quantile(law: BetaLaw, q):
     return np.array([_quantile_scalar(law, k, float(v)) for v in arr.ravel()]).reshape(arr.shape)
 
 
-def _log_power_terms(values: np.ndarray, exponent: int) -> float:
-    """exponent * sum(log(values)) with the boundary convention.
+def _spectrum_logpdf(lam: np.ndarray, gap: np.ndarray, law: MatrixBetaLaw) -> float:
+    """Log density of the matrix beta law at a W given by two spectra.
 
-    Zero exponent skips the factor entirely; a positive exponent sends
-    boundary points to -inf.
+    ``lam`` is the spectrum of W and ``gap`` that of I - W.  Every matrix
+    density is this one after a change of variables, so this is where
+    the law's support and boundary are decided: an eigenvalue below
+    -SUPPORT_TOL in either spectrum is off-support (DomainError), the
+    rest are clipped to [0, 1], and an eigenvalue at 0 gives -inf when
+    its determinant's exponent is positive (with a zero exponent the
+    determinant drops out).
     """
-    if exponent == 0:
-        return 0.0
-    if np.any(values <= 0.0):
-        return -math.inf
-    return float(exponent * np.sum(np.log(values)))
+    if lam.min() < -SUPPORT_TOL or gap.min() < -SUPPORT_TOL:
+        raise DomainError(
+            "point is outside the support 0 <= W <= I "
+            f"(min eigenvalue of W = {lam.min():.3e}, of I - W = {gap.min():.3e})"
+        )
+    out = law.log_norm()
+    for values, exponent in ((lam, law.m - law.p), (gap, law.n - law.m - law.p)):
+        if exponent == 0:
+            continue
+        values = np.clip(values, 0.0, 1.0)
+        if np.any(values <= 0.0):
+            return -math.inf
+        out += float(exponent * np.sum(np.log(values)))
+    return float(out)
 
 
 def matrix_beta_logpdf(W, law: MatrixBetaLaw) -> float:
@@ -982,55 +1003,37 @@ def matrix_beta_logpdf(W, law: MatrixBetaLaw) -> float:
 
     ``W`` is the complex-form J^{-1/2} Jhat J^{-1/2}, whose density
     needs m >= p and n - m >= p (``MatrixBetaLaw``).  Support is
-    0 <= W <= I in the Loewner order, with SUPPORT_TOL slack; points
-    outside raise DomainError, boundary points yield -inf when the
-    corresponding exponent is positive.
+    0 <= W <= I in the Loewner order, with SUPPORT_TOL slack in the
+    spectrum; points outside raise DomainError, boundary points yield
+    -inf when the corresponding exponent is positive.
     """
     W = cxla.as_hermitian(W, "W")
     if W.shape[0] != law.p:
         raise BadShape(f"W is {W.shape[0]}x{W.shape[0]}, law has p={law.p}")
     lam = np.linalg.eigvalsh(W)
-    if lam[0] < -SUPPORT_TOL or lam[-1] > 1.0 + SUPPORT_TOL:
-        raise DomainError(
-            f"matrix is outside [0, I] (eigenvalue range [{lam[0]:.3e}, {lam[-1]:.3e}])"
-        )
-    lam = np.clip(lam, 0.0, 1.0)
-    out = law.log_norm()
-    out += _log_power_terms(lam, law.m - law.p)
-    out += _log_power_terms(1.0 - lam, law.n - law.m - law.p)
-    return float(out)
+    return _spectrum_logpdf(lam, 1.0 - lam, law)
 
 
 def eig_joint_logpdf(lams, law: MatrixBetaLaw) -> float:
     """Log joint density of the eigenvalues of a matrix beta draw.
 
     Symmetric in the entries of ``lams``; integrates to p! over the
-    unit cube (to 1 over the ordered sector).  Coincident eigenvalues
-    give -inf through the squared Vandermonde factor.
+    unit cube (to 1 over the ordered sector).  The matrix density at
+    diag(lams) times pi^{p(p-1)} / Gamma~_p(p) and the squared
+    Vandermonde factor, so coincident eigenvalues give -inf.
     """
     lam = np.asarray(lams, dtype=np.float64).reshape(-1)
     if lam.shape[0] != law.p:
         raise BadShape(f"expected {law.p} eigenvalues, got {lam.shape[0]}")
     if not np.all(np.isfinite(lam)):
         raise BadShape("eigenvalues contain non-finite entries")
-    if lam.min() < -SUPPORT_TOL or lam.max() > 1.0 + SUPPORT_TOL:
-        raise DomainError(
-            f"eigenvalues outside [0, 1] (range [{lam.min():.3e}, {lam.max():.3e}])"
-        )
-    lam = np.clip(lam, 0.0, 1.0)
+    out = _spectrum_logpdf(lam, 1.0 - lam, law)
     p = law.p
-    out = p * (p - 1) * math.log(math.pi)
-    out += ln_cmv_gamma(p, law.n)
-    out -= ln_cmv_gamma(p, p) + ln_cmv_gamma(p, law.m) + ln_cmv_gamma(p, law.n - law.m)
-    for i in range(p):
-        for j in range(i + 1, p):
-            diff = abs(lam[i] - lam[j])
-            if diff == 0.0:
-                return -math.inf
-            out += 2.0 * math.log(diff)
-    out += _log_power_terms(lam, law.m - law.p)
-    out += _log_power_terms(1.0 - lam, law.n - law.m - law.p)
-    return float(out)
+    diffs = np.abs(np.subtract.outer(lam, lam)[np.triu_indices(p, 1)])
+    if np.any(diffs == 0.0):
+        return -math.inf
+    out += p * (p - 1) * math.log(math.pi) - ln_cmv_gamma(p, p)
+    return float(out + 2.0 * np.sum(np.log(diffs)))
 
 
 def fim_after_logpdf(J_hat, J, law: MatrixBetaLaw) -> float:
@@ -1038,9 +1041,12 @@ def fim_after_logpdf(J_hat, J, law: MatrixBetaLaw) -> float:
 
     Change of variables of the matrix beta law of the complex-form
     W = J^{-1/2} Jhat J^{-1/2}, so m >= p and n - m >= p, through
-    Jhat = J^{1/2} W J^{H/2}: the value is
+    Jhat = J^{1/2} W J^{H/2}: the matrix density at W minus p log|J|,
+    which is
     log_norm + (p - n) log|J| + (m - p) log|Jhat| + (n - m - p) log|J - Jhat|
-    on the support 0 <= Jhat <= J.
+    on the support 0 <= Jhat <= J.  The spectrum of I - W is that of
+    J^{-1/2} (J - Jhat) J^{-1/2}, formed from J - Jhat, so Jhat = J is
+    the boundary exactly.
     """
     J = cxla.as_hermitian(J, "J")
     J_hat = cxla.as_hermitian(J_hat, "J_hat")
@@ -1048,26 +1054,14 @@ def fim_after_logpdf(J_hat, J, law: MatrixBetaLaw) -> float:
         raise BadShape(
             f"J and J_hat must both be {law.p}x{law.p}, got {J.shape} and {J_hat.shape}"
         )
-    wj = np.linalg.eigvalsh(J)
-    if wj[-1] <= 0.0 or wj[0] <= cxla.PD_TOL * wj[-1]:
-        raise DomainError("uncompressed information matrix must be positive definite")
-    scale = wj[-1]
-    w_hat = np.linalg.eigvalsh(J_hat)
-    w_gap = np.linalg.eigvalsh(J - J_hat)
-    if w_hat[0] < -SUPPORT_TOL * scale or w_gap[0] < -SUPPORT_TOL * scale:
-        raise DomainError(
-            "J_hat is outside the support 0 <= J_hat <= J "
-            f"(min eig J_hat = {w_hat[0]:.3e}, min eig J - J_hat = {w_gap[0]:.3e})"
-        )
-    out = law.log_norm() + (law.p - law.n) * float(np.sum(np.log(wj)))
-    for matrix, exponent in ((J_hat, law.m - law.p), (J - J_hat, law.n - law.m - law.p)):
-        if exponent == 0:
-            continue
-        try:
-            out += exponent * cxla.logdet_hpd(matrix)
-        except SingularMatrix:
-            return -math.inf
-    return float(out)
+    try:
+        s = cxla.hermitian_inv_sqrt(J)
+    except NotPositiveDefinite:
+        raise DomainError("uncompressed information matrix must be positive definite") from None
+    lam = np.linalg.eigvalsh(s @ J_hat @ s)
+    gap = np.linalg.eigvalsh(s @ (J - J_hat) @ s)
+    out = _spectrum_logpdf(lam, gap, law)
+    return float(out - law.p * np.sum(np.log(np.linalg.eigvalsh(J))))
 
 
 def crb_ratio_law(n: int, m: int, p: int) -> BetaLaw:

@@ -1,7 +1,7 @@
 """Dense complex linear algebra kernels.
 
-Orthonormal bases, coordinates in a column space, Hermitian roots, and
-stable log-determinants, all on plain ``numpy`` arrays in ``complex128``.
+Orthonormal bases, coordinates in a column space and Hermitian inverse
+square roots, all on plain ``numpy`` arrays in ``complex128``.
 A full-rank basis costs one QR: its triangular factor carries the
 singular values that decide the rank verdict.  Coordinates in the
 column space of B cost one R-only QR of [B | A]: the leading block R11
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import BadShape, NotPositiveDefinite, RankDeficient, SingularMatrix
+from .errors import BadShape, NotPositiveDefinite, RankDeficient
 
 # Relative rank cutoff: singular values below RANK_TOL times the largest
 # count as zero.
@@ -28,9 +28,7 @@ def as_complex_matrix(a, name: str = "matrix") -> np.ndarray:
     arr = np.asarray(a, dtype=np.complex128)
     if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] == 0:
         raise BadShape(f"{name} must be a nonempty 2-D array, got shape {np.shape(a)}")
-    if not (np.all(np.isfinite(arr.real)) and np.all(np.isfinite(arr.imag))):
-        raise BadShape(f"{name} contains non-finite entries")
-    return arr
+    return _finite(arr, name)
 
 
 def as_complex_vector(a, name: str = "vector") -> np.ndarray:
@@ -38,7 +36,13 @@ def as_complex_vector(a, name: str = "vector") -> np.ndarray:
     arr = np.asarray(a, dtype=np.complex128)
     if arr.ndim != 1 or arr.shape[0] == 0:
         raise BadShape(f"{name} must be a nonempty 1-D array, got shape {np.shape(a)}")
-    if not (np.all(np.isfinite(arr.real)) and np.all(np.isfinite(arr.imag))):
+    return _finite(arr, name)
+
+
+def _finite(arr: np.ndarray, name: str) -> np.ndarray:
+    """``arr`` itself, or BadShape if a real or imaginary part is not finite."""
+    # isfinite of a complex entry is false when either part is, so one pass
+    if not np.isfinite(arr).all():
         raise BadShape(f"{name} contains non-finite entries")
     return arr
 
@@ -136,17 +140,3 @@ def hermitian_inv_sqrt(a) -> np.ndarray:
     s = (v * (1.0 / np.sqrt(w))) @ v.conj().T
     return hermitian_part(s)
 
-
-def logdet_hpd(a) -> float:
-    """log det A for Hermitian PSD ``a``; SingularMatrix when det is 0.
-
-    Consumers evaluating log-densities should map SingularMatrix to
-    -inf when the corresponding density exponent is positive.
-    """
-    a = as_hermitian(a)
-    w = np.linalg.eigvalsh(a)
-    if w[-1] <= 0.0 or w[0] <= RANK_TOL * w[-1]:
-        raise SingularMatrix(
-            f"matrix is singular to working precision (eigenvalue range [{w[0]:.3e}, {w[-1]:.3e}])"
-        )
-    return float(np.sum(np.log(w)))

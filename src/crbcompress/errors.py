@@ -26,7 +26,13 @@ class BadSpec(CrbCompressError, ValueError):
 
 
 class DomainError(CrbCompressError, ValueError):
-    """A scalar argument lies outside the domain of the requested quantity."""
+    """An argument lies outside the domain of the requested quantity.
+
+    For the three matrix beta densities, which share one spectrum density
+    and one boundary rule, that is a point whose W or I - W has an
+    eigenvalue below -SUPPORT_TOL; a point on the boundary is in the
+    domain and gets a log density of -inf.
+    """
 
 
 class RankDeficient(CrbCompressError):
@@ -35,10 +41,6 @@ class RankDeficient(CrbCompressError):
 
 class NotPositiveDefinite(CrbCompressError):
     """A matrix required to be Hermitian positive definite is not."""
-
-
-class SingularMatrix(CrbCompressError):
-    """A determinant-like quantity is zero to working precision."""
 
 
 class SingularFim(CrbCompressError):

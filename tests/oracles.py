@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from crbcompress.errors import BadSpec, DomainError, TooFewSamples
+from crbcompress.errors import BadSpec, DomainError, NotPositiveDefinite, TooFewSamples
 from crbcompress.mcharness import KS_CRITICAL, KsResult
 from crbcompress.sigmodel import UlaModel
 
@@ -34,6 +34,18 @@ def explicit_basis_projection(a: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """
     q = np.linalg.qr(phi.conj().T)[0]
     return q @ (q.conj().T @ a)
+
+
+def logdet_hpd(a) -> float:
+    """log det A for a Hermitian positive definite ``a``, from its eigenvalues.
+
+    NotPositiveDefinite when the smallest eigenvalue is at or below 1e-10
+    times the largest: the log-determinant is -inf or undefined there.
+    """
+    w = np.linalg.eigvalsh(np.asarray(a, dtype=np.complex128))
+    if w[-1] <= 0.0 or w[0] <= 1e-10 * w[-1]:
+        raise NotPositiveDefinite(f"eigenvalue range [{w[0]:.3e}, {w[-1]:.3e}]")
+    return float(np.sum(np.log(w)))
 
 
 def ks_two_sample(a, b, alpha: float = 0.01) -> KsResult:

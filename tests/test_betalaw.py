@@ -28,6 +28,7 @@ from crbcompress.betalaw import (
     moments,
 )
 from crbcompress.errors import BadShape, DomainError, NoConvergence, NotPositiveDefinite
+from oracles import logdet_hpd
 
 LAWS = [
     BetaLaw(0.5, 0.5),
@@ -696,6 +697,38 @@ def test_eig_joint_integrates_to_factorial():
     np.testing.assert_allclose(total, 2.0, rtol=1e-6)
 
 
+def _cofactor_det(a):
+    """Brute-force determinant by cofactor expansion along the first row."""
+    n = a.shape[0]
+    if n == 1:
+        return a[0, 0]
+    total = 0.0 + 0.0j
+    for j in range(n):
+        minor = np.delete(np.delete(a, 0, axis=0), j, axis=1)
+        total += (-1) ** j * a[0, j] * _cofactor_det(minor)
+    return total
+
+
+def test_logdet_identity_and_diagonal():
+    assert logdet_hpd(np.eye(5)) == 0.0
+    np.testing.assert_allclose(logdet_hpd(np.diag([2.0, 3.0])), np.log(6.0), rtol=1e-14)
+
+
+def test_logdet_matches_cofactor_expansion():
+    rng = np.random.default_rng(18)
+    a = _random_hpd(rng, 5)
+    det = _cofactor_det(a)
+    assert abs(det.imag) < 1e-8 * abs(det.real)
+    np.testing.assert_allclose(logdet_hpd(a), np.log(det.real), rtol=1e-9)
+
+
+def test_logdet_singular():
+    rng = np.random.default_rng(19)
+    col = rng.standard_normal((4, 1)) + 1j * rng.standard_normal((4, 1))
+    with pytest.raises(NotPositiveDefinite):
+        logdet_hpd(col @ col.conj().T)
+
+
 def test_fim_after_identity_reference():
     law = MatrixBetaLaw(p=2, m=5, n=16)
     rng = np.random.default_rng(77)
@@ -726,8 +759,6 @@ def test_fim_after_change_of_variables():
 def test_fim_after_inverse_change_of_variables():
     # pushing the density through K = Jhat^{-1} multiplies by det(K)^{-2p};
     # the result matches the direct formula in the inverse variable
-    from crbcompress.cxla import logdet_hpd
-
     law = MatrixBetaLaw(p=2, m=6, n=18)
     rng = np.random.default_rng(79)
     j = _random_hpd(rng, 2)
@@ -756,6 +787,57 @@ def test_fim_after_support_checks():
     with pytest.raises(DomainError):
         fim_after_logpdf(np.eye(2), np.zeros((2, 2)), law)
     assert fim_after_logpdf(np.eye(2), np.eye(2), law) == -math.inf
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_fim_after_boundary_at_non_identity_j(p):
+    # Jhat = J and Jhat = 0 are the boundary for any J, not only J = I:
+    # the spectrum of I - W comes from J - Jhat, which is exactly 0 at J
+    law = MatrixBetaLaw(p=p, m=p + 2, n=2 * p + 5)
+    rng = np.random.default_rng(80 + p)
+    for _ in range(5):
+        j = _random_hpd(rng, p, shift=0.1)
+        assert fim_after_logpdf(j, j, law) == -math.inf
+        assert fim_after_logpdf(np.zeros((p, p)), j, law) == -math.inf
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_fim_after_matches_log_determinant_formula(p):
+    # log_norm + (p - n) ln|J| + (m - p) ln|Jhat| + (n - m - p) ln|J - Jhat|,
+    # each determinant from the test oracle, at interior points
+    law = MatrixBetaLaw(p=p, m=p + 3, n=2 * p + 7)
+    rng = np.random.default_rng(90 + p)
+    j = _random_hpd(rng, p)
+    root = _hermitian_sqrt(j)
+    for _ in range(20):
+        w = _random_hpd(rng, p, shift=0.3)
+        w /= np.linalg.eigvalsh(w)[-1] * 1.3
+        j_hat = root @ w @ root.conj().T
+        expected = (
+            law.log_norm()
+            + (law.p - law.n) * logdet_hpd(j)
+            + (law.m - law.p) * logdet_hpd(j_hat)
+            + (law.n - law.m - law.p) * logdet_hpd(j - j_hat)
+        )
+        np.testing.assert_allclose(fim_after_logpdf(j_hat, j, law), expected, rtol=1e-10)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_eig_joint_is_matrix_density_times_vandermonde(p):
+    # ln Gamma~_p(p) = p(p-1)/2 ln pi + ln 1! + ... + ln (p-1)!
+    law = MatrixBetaLaw(p=p, m=p + 2, n=2 * p + 6)
+    ln_gamma_pp = 0.5 * p * (p - 1) * math.log(math.pi) + sum(
+        math.lgamma(k) for k in range(1, p + 1)
+    )
+    rng = np.random.default_rng(100 + p)
+    for _ in range(10):
+        lam = rng.uniform(0.02, 0.98, size=p)
+        vandermonde = sum(
+            math.log(abs(lam[i] - lam[k])) for i in range(p) for k in range(i + 1, p)
+        )
+        expected = p * (p - 1) * math.log(math.pi) - ln_gamma_pp + 2.0 * vandermonde
+        got = eig_joint_logpdf(lam, law) - matrix_beta_logpdf(np.diag(lam), law)
+        np.testing.assert_allclose(got, expected, rtol=1e-10, atol=1e-10)
 
 
 def test_crb_ratio_law_parameters():

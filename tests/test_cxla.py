@@ -1,10 +1,10 @@
-"""Kernel checks: bases, Hermitian roots, log-determinants."""
+"""Kernel checks: validation, bases, coordinates, Hermitian roots."""
 
 import numpy as np
 import pytest
 
 from crbcompress import cxla
-from crbcompress.errors import BadShape, NotPositiveDefinite, RankDeficient, SingularMatrix
+from crbcompress.errors import BadShape, NotPositiveDefinite, RankDeficient
 from crbcompress.fisher import compressed_fim
 
 
@@ -16,18 +16,6 @@ def _span_projector(m):
     """Orthogonal projector q q^H onto the column space of the full-rank ``m``."""
     q, _ = np.linalg.qr(m)
     return q @ q.conj().T
-
-
-def _cofactor_det(a):
-    """Brute-force determinant by cofactor expansion along the first row."""
-    n = a.shape[0]
-    if n == 1:
-        return a[0, 0]
-    total = 0.0 + 0.0j
-    for j in range(n):
-        minor = np.delete(np.delete(a, 0, axis=0), j, axis=1)
-        total += (-1) ** j * a[0, j] * _cofactor_det(minor)
-    return total
 
 
 def test_orthonormal_columns_identity():
@@ -154,28 +142,6 @@ def test_hermitian_inv_sqrt_rejects_indefinite():
         cxla.hermitian_inv_sqrt(np.diag([1.0, 0.0]))
 
 
-def test_logdet_identity_and_diagonal():
-    assert cxla.logdet_hpd(np.eye(5)) == 0.0
-    np.testing.assert_allclose(cxla.logdet_hpd(np.diag([2.0, 3.0])), np.log(6.0), rtol=1e-14)
-
-
-def test_logdet_matches_cofactor_expansion():
-    rng = np.random.default_rng(18)
-    b = _random_complex(rng, (5, 5))
-    a = b.conj().T @ b + np.eye(5)
-    det = _cofactor_det(a)
-    assert abs(det.imag) < 1e-8 * abs(det.real)
-    np.testing.assert_allclose(cxla.logdet_hpd(a), np.log(det.real), rtol=1e-9)
-
-
-def test_logdet_singular():
-    rng = np.random.default_rng(19)
-    col = _random_complex(rng, (4, 1))
-    a = col @ col.conj().T
-    with pytest.raises(SingularMatrix):
-        cxla.logdet_hpd(a)
-
-
 def test_shape_validation():
     with pytest.raises(BadShape):
         cxla.as_complex_matrix(np.ones(3))
@@ -190,3 +156,19 @@ def test_shape_validation():
         cxla.orthonormal_columns(np.ones((2, 3)))
     with pytest.raises(BadShape):
         cxla.column_space_coordinates(np.ones((2, 3)), np.ones((2, 1)))
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [complex(bad, 0.0) for bad in (np.nan, np.inf, -np.inf)]
+    + [complex(0.0, bad) for bad in (np.nan, np.inf, -np.inf)],
+)
+def test_non_finite_real_or_imaginary_part_is_rejected(entry):
+    matrix = np.ones((3, 2), dtype=np.complex128)
+    matrix[1, 0] = entry
+    vector = np.ones(4, dtype=np.complex128)
+    vector[2] = entry
+    with pytest.raises(BadShape):
+        cxla.as_complex_matrix(matrix)
+    with pytest.raises(BadShape):
+        cxla.as_complex_vector(vector)
