@@ -104,7 +104,7 @@ from statistics import NormalDist
 import numpy as np
 
 from . import cxla
-from .errors import BadShape, DomainError, NoConvergence, NotPositiveDefinite, is_int
+from .errors import BadShape, DomainError, NoConvergence, NotPositiveDefinite, is_int, is_real, is_real_array
 
 # Slack allowed below 0 in the spectrum of W or of I - W before a matrix
 # point is rejected as off-support; also the [0, 1] slack of sampled ratios.
@@ -146,10 +146,10 @@ class BetaLaw:
     b: float
 
     def __post_init__(self):
-        if not (self.a > 0.0 and math.isfinite(self.a)):
-            raise DomainError(f"shape a must be positive and finite, got {self.a}")
-        if not (self.b > 0.0 and math.isfinite(self.b)):
-            raise DomainError(f"shape b must be positive and finite, got {self.b}")
+        if not (is_real(self.a) and self.a > 0.0 and math.isfinite(self.a)):
+            raise DomainError(f"shape a must be a positive finite real number, got {self.a!r}")
+        if not (is_real(self.b) and self.b > 0.0 and math.isfinite(self.b)):
+            raise DomainError(f"shape b must be a positive finite real number, got {self.b!r}")
 
     @property
     def mean(self) -> float:
@@ -904,9 +904,22 @@ def _quantile_scalar(law: BetaLaw, k: _Shapes, q: float) -> float:
     raise NoConvergence(f"beta quantile iteration stalled for a={law.a}, b={law.b}, q={q}")
 
 
+def _real_points(x, what: str) -> np.ndarray:
+    """x as a float64 array, or DomainError unless it holds real numbers (a complex x is not made real)."""
+    arr = np.asarray(x)
+    if not is_real_array(arr):
+        raise DomainError(f"{what} argument must be real, got {arr.dtype} values")
+    return arr.astype(np.float64, copy=False)
+
+
+def _real_point(x, what: str) -> float:
+    """The 0-d ``x`` as a float, checked as ``_real_points`` checks arrays unless it is a float."""
+    return float(x if isinstance(x, float) else _real_points(x, what))
+
+
 def _unit_points(x, what: str) -> np.ndarray:
-    """x as a float64 array, every point checked to lie in [0, 1]."""
-    arr = np.asarray(x, dtype=np.float64)
+    """x as a float64 array, every point checked to be real and to lie in [0, 1]."""
+    arr = _real_points(x, what)
     bad = ~((arr >= 0.0) & (arr <= 1.0))
     if bad.any():
         raise DomainError(f"{what} argument must lie in [0, 1], got {arr[bad][0]}")
@@ -923,7 +936,7 @@ def _tail(law: BetaLaw, x, upper: bool):
     """One tail of ``law`` at ``x``: the scalar kernel for 0-d input, else the array kernel."""
     k = _Shapes(law)
     if _is_scalar(x):
-        return _tails(k, float(x))[upper]
+        return _tails(k, _real_point(x, "cdf"))[upper]
     arr = _unit_points(x, "cdf")
     return _tails_array(k, arr.ravel())[upper].reshape(arr.shape)
 
@@ -932,7 +945,7 @@ def beta_pdf(law: BetaLaw, x):
     """Density of ``law`` at ``x`` (scalar or array)."""
     k = _Shapes(law)
     if _is_scalar(x):
-        return _pdf_scalar(k, float(x))
+        return _pdf_scalar(k, _real_point(x, "pdf"))
     arr = _unit_points(x, "pdf")
     return _pdf_array(k, arr.ravel()).reshape(arr.shape)
 
@@ -944,7 +957,7 @@ def beta_tails_pdf(law: BetaLaw, x: float) -> tuple[float, float, float]:
     takes the prefactor the tail formed, and one set of law constants
     serves all three.
     """
-    return _point(_Shapes(law), float(x))
+    return _point(_Shapes(law), _real_point(x, "cdf"))
 
 
 def beta_cdf(law: BetaLaw, x):
@@ -966,8 +979,8 @@ def beta_quantile(law: BetaLaw, q):
     """Inverse cdf at probability ``q`` (scalar or array), point by point."""
     k = _Shapes(law)
     if _is_scalar(q):
-        return _quantile_scalar(law, k, float(q))
-    arr = np.asarray(q, dtype=np.float64)
+        return _quantile_scalar(law, k, _real_point(q, "quantile"))
+    arr = _real_points(q, "quantile")
     return np.array([_quantile_scalar(law, k, float(v)) for v in arr.ravel()]).reshape(arr.shape)
 
 
@@ -1110,7 +1123,10 @@ def moments(n: int, m: int, p: int, J, i: int) -> CompressionMoments:
     E[Jhat] = (m/n) J entrywise, so mean_fim_scale = m/n.
     E[(Jhat^{-1})_{ii}] = (n-p)/(m-p) times the uncompressed bound.
     var[(Jhat^{-1})_{ii}] = (n-m)(n-p)/((m-p-1)(m-p)^2) times its square.
-    Requires m > p + 1 so the variance exists.
+    Requires m > p + 1 so the variance exists.  The uncompressed bound
+    (J^{-1})_{ii} is the squared norm of column i of
+    ``cxla.hermitian_inv_sqrt(J)``, whose NotPositiveDefinite (smallest
+    eigenvalue at or below PD_TOL times the largest) a singular J raises.
     """
     _check_dims(n, m, p)
     if not m > p + 1:
@@ -1122,10 +1138,8 @@ def moments(n: int, m: int, p: int, J, i: int) -> CompressionMoments:
         raise BadShape(f"J must be {p}x{p}, got {J.shape}")
     if not (is_int(i) and 0 <= i < p):
         raise BadShape(f"parameter index must be an int in [0, {p}), got {i!r}")
-    w = np.linalg.eigvalsh(J)
-    if w[-1] <= 0.0 or w[0] <= cxla.PD_TOL * w[-1]:
-        raise NotPositiveDefinite("information matrix must be positive definite")
-    crb_before = float(np.real(np.linalg.inv(J)[i, i]))
+    s = cxla.hermitian_inv_sqrt(J)
+    crb_before = float(np.real(np.vdot(s[:, i], s[:, i])))
     mean_crb = (n - p) / (m - p) * crb_before
     var_crb = (n - m) * (n - p) / ((m - p - 1) * (m - p) ** 2) * crb_before**2
     return CompressionMoments(

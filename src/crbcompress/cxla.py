@@ -1,11 +1,14 @@
 """Dense complex linear algebra kernels.
 
-Orthonormal bases, coordinates in a column space and Hermitian inverse
-square roots, all on plain ``numpy`` arrays in ``complex128``.
-A full-rank basis costs one QR: its triangular factor carries the
-singular values that decide the rank verdict.  Coordinates in the
-column space of B cost one R-only QR of [B | A]: the leading block R11
-decides the verdict and the block R12 beside it is Q^H A, so Q is never
+Orthonormal bases, coordinates in a column space, residuals and
+Hermitian inverse square roots, all on plain ``numpy`` arrays in
+``complex128``.  This module alone factors a matrix to decide its rank
+(RANK_TOL) or its definiteness (PD_TOL).  A full-rank basis costs one
+QR: its triangular factor carries the singular values that decide the
+rank verdict.  Coordinates in the column space of B and the residual of
+A against it cost one R-only QR of [B | A]: the leading block R11
+decides the verdict, the block R12 beside it is Q^H A and the block
+below R12 is the triangular factor of the residual, so Q is never
 formed.  Routines that produce Hermitian matrices re-symmetrize the
 result so downstream ``eigh`` calls never see accumulated asymmetry.
 """
@@ -80,19 +83,30 @@ def column_space_coordinates(basis: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Q^H a, for Q an orthonormal basis of the columns of ``basis``.
 
     ``basis`` is n-by-m and ``a`` n-by-k, both finite complex128 arrays
-    (the caller validates them).  One R-only QR of [basis | a] gives
-    both answers without forming Q: the leading m-by-m block R11 is the
-    R of ``basis`` alone, so its singular values give the rank verdict
-    of :func:`orthonormal_columns` (RankDeficient, same message), and
-    the m-by-k block R12 beside it is Q^H a.  The coordinates keep every
-    inner product of the projection Q Q^H a, so (Q^H a)^H (Q^H a) is its
-    Gram matrix.
+    (the caller validates them): the first m rows of :func:`_r_beside`,
+    with its rank verdict.  The coordinates keep every inner product of
+    the projection Q Q^H a, so (Q^H a)^H (Q^H a) is its Gram matrix.
+    """
+    return _r_beside(basis, a)[: basis.shape[1]]
+
+
+def _r_beside(basis: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """The columns of R beside ``basis`` in one R-only QR of [basis | a].
+
+    ``basis`` is n-by-m (n >= m, else BadShape) and ``a`` n-by-k, both
+    finite complex128 arrays.  The leading m-by-m block R11 is the R of
+    ``basis`` alone, so its singular values give the rank verdict of
+    :func:`orthonormal_columns` (RankDeficient, same message; none for a
+    basis with no columns).  Rows :m of the result are Q^H a, Q an
+    orthonormal basis of the columns of ``basis``; the rows below are the
+    triangular factor of a's residual (I - Q Q^H) a, with its norm.
     """
     _check_tall(basis)
     m = basis.shape[1]
     r = np.linalg.qr(np.hstack([basis, a]), mode="r")
-    _check_full_rank(r[:m, :m], basis.shape)
-    return r[:m, m:]
+    if m:
+        _check_full_rank(r[:m, :m], basis.shape)
+    return r[:, m:]
 
 
 def _check_tall(m: np.ndarray) -> None:
@@ -102,7 +116,9 @@ def _check_tall(m: np.ndarray) -> None:
 
 def _check_full_rank(r: np.ndarray, shape: tuple) -> None:
     """RankDeficient unless the square triangular factor ``r`` of a ``shape`` matrix has full rank."""
-    s = np.linalg.svd(r, compute_uv=False)
+    # a 1x1 factor's singular value is its modulus; at p = 2 every crb call
+    # has one, and an SVD call would add about a third to its cost
+    s = np.abs(r[0]) if r.shape[0] == 1 else np.linalg.svd(r, compute_uv=False)
     if s[0] == 0.0 or s[-1] <= RANK_TOL * s[0]:
         raise RankDeficient(
             f"matrix of shape {shape} is rank deficient "
@@ -126,7 +142,7 @@ def orthonormal_range(m) -> np.ndarray:
 
 
 def hermitian_inv_sqrt(a) -> np.ndarray:
-    """Hermitian S with S A S = inverse of A, for Hermitian PD ``a``.
+    """Hermitian S = A^{-1/2}, so S A S = I and S S = A^{-1}, for Hermitian PD ``a``.
 
     Raises NotPositiveDefinite when the smallest eigenvalue is at or
     below PD_TOL times the largest.

@@ -3,14 +3,37 @@
 The bad-input classes (``BadShape``, ``BadSpec``, ``DomainError`` and
 ``TooFewSamples``) are also ``ValueError``s; the others report a
 numerical failure on valid input.  The command line exits 1 for a
-``ValueError`` and 2 for any other error of this package.
+``ValueError`` and 2 for any other error of this package.  The input
+rules every module shares live here too: ``is_int`` for counts and
+indices, ``is_real`` for real parameters and ``is_real_array`` for
+points and samples.
 """
+
+import numbers
 
 
 def is_int(value) -> bool:
     """Whether ``value`` is an int that is not a bool: the rule for counts, indices, dimensions and seeds."""
     # bool is an int to Python, but no count, index or seed takes one
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """Whether ``value`` is a real number that is not a bool: the rule for real parameters.
+
+    Python and numpy ints and floats pass; a bool, a complex number, a
+    string or an array does not.
+    """
+    # float first: the common case, and cheaper than the ABC check
+    return isinstance(value, float) or (isinstance(value, numbers.Real) and not isinstance(value, bool))
+
+
+def is_real_array(arr) -> bool:
+    """Whether the numpy array ``arr`` holds real numbers: ints or floats, not bools, complex or objects.
+
+    The rule for points and samples, 0-d arrays included.
+    """
+    return arr.dtype.kind in "iuf"
 
 
 class CrbCompressError(Exception):
@@ -44,7 +67,12 @@ class NotPositiveDefinite(CrbCompressError):
 
 
 class SingularFim(CrbCompressError):
-    """Fisher information is singular for the requested parameter."""
+    """Fisher information is singular for the requested parameter.
+
+    ``fisher.crb`` raises it when the parameter's Jacobian column lies in
+    the span of the others (to ``fisher.SINGULAR_REL_TOL``) or the other
+    columns are rank deficient: J has no inverse, so there is no bound.
+    """
 
 
 class NoConvergence(CrbCompressError):

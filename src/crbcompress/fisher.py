@@ -11,12 +11,18 @@ the row space of Phi; everything downstream is unchanged.  Only inner
 products of the projection matter, so a compressed result stores its
 coordinates Q^H G in an orthonormal basis Q of that row space, an
 m-by-p matrix with the same J, the same bounds and the same real form
-as the n-by-p projection Q Q^H G; ``cxla.column_space_coordinates``
-reads them off one R-only QR of [Phi^H | G], without forming Q.  The KL
-divergence between two mean vectors is the same computation for the
-single column x1 - x2, so ``compressed_kl`` and ``compressed_fim``
-share one row-space projection.  Arbitrary Jacobians enter through
-``fim``, ``compressed_fim`` and ``crb``.
+as the n-by-p projection Q Q^H G.  The KL divergence between two mean
+vectors is the same computation for the single column x1 - x2.
+
+One QR gives every projection and every residual here: ``cxla``'s
+R-only QR of [B | A], which never forms Q.  With B = Phi^H and A = G
+(or x1 - x2) it gives the coordinates Q^H A of ``compressed_fim`` and
+``compressed_kl``; with B the other columns of G and A column i it
+gives the residual of ``crb``.  Its leading block decides the rank
+verdict (``cxla.RANK_TOL``) each time: a compressor without full row
+rank raises RankDeficient, and other columns without full column rank
+make J singular, which raises SingularFim.  Arbitrary Jacobians enter
+through ``fim``, ``compressed_fim`` and ``crb``.
 ``normalized_fim`` alone forms W = J^{-1/2} Jhat J^{-1/2}, for each
 Monte Carlo trial and, on the real-form pair (Re J, Re Jhat) of the
 stacked real Jacobian [Re G; Im G], for the CLI's ellipses.
@@ -31,7 +37,7 @@ from functools import cached_property
 import numpy as np
 
 from . import cxla
-from .errors import BadShape, RankDeficient, SingularFim, is_int
+from .errors import BadShape, RankDeficient, SingularFim, is_int, is_real
 
 # A parameter counts as unidentifiable when the residual of its Jacobian
 # column against the others falls below this fraction of its norm.
@@ -70,9 +76,9 @@ class FimResult:
 
 
 def _noise_power(sigma2) -> float:
-    """``sigma2`` as a float, or BadShape unless it is positive and finite."""
-    if not (sigma2 > 0.0 and math.isfinite(sigma2)):
-        raise BadShape(f"sigma2 must be positive and finite, got {sigma2}")
+    """``sigma2`` as a float, or BadShape unless it is a positive finite real number."""
+    if not (is_real(sigma2) and sigma2 > 0.0 and math.isfinite(sigma2)):
+        raise BadShape(f"sigma2 must be a positive finite real number, got {sigma2!r}")
     return float(sigma2)
 
 
@@ -93,24 +99,16 @@ def fim(G, sigma2: float = 1.0) -> FimResult:
     return FimResult(J=j, G=G, sigma2=sigma2)
 
 
-def _residual_norm_sq(g: np.ndarray, others: np.ndarray) -> float:
-    """Squared norm of g after projecting out the span of ``others``."""
-    if others.shape[1] == 0:
-        return float(np.real(np.vdot(g, g)))
-    q = cxla.orthonormal_range(others)
-    r = g - q @ (q.conj().T @ g)
-    # Re-orthogonalize once; kills precision loss when g is nearly in span.
-    r = r - q @ (q.conj().T @ r)
-    return float(np.real(np.vdot(r, r)))
-
-
 def crb(info: FimResult, i: int) -> float:
     """Bound (J^{-1})_{ii} via the projection form.
 
     Equals sigma2 divided by the squared residual of Jacobian column i
-    against the span of the remaining columns; agrees with direct
-    inversion of J whenever J is well conditioned.  The bound is that of
-    the complex-form information G^H G / sigma2 (see ``fim``), whose
+    against the span of the remaining columns: the last diagonal entry
+    of the module's one R-only QR, of [others | column i].  J is
+    singular, and SingularFim is raised, when the other columns are rank
+    deficient (the QR's verdict) or the residual's squared norm is at
+    most SINGULAR_REL_TOL times the column's.  The bound is that of the
+    complex-form information G^H G / sigma2 (see ``fim``), whose
     before/after ratio follows ``betalaw.crb_ratio_law``; the textbook
     real-parameter form 2 Re(G^H G) / sigma2 gives the same ratio when
     p = 1.
@@ -120,7 +118,12 @@ def crb(info: FimResult, i: int) -> float:
     g = info.G[:, i]
     others = np.delete(info.G, i, axis=1)
     norm_sq = float(np.real(np.vdot(g, g)))
-    res_sq = _residual_norm_sq(g, others)
+    try:
+        r = cxla._r_beside(others, g[:, None])
+    except RankDeficient as exc:
+        raise SingularFim(f"parameter {i} is unidentifiable: J is singular, its other columns' {exc}") from exc
+    residual = r[others.shape[1] :]
+    res_sq = float(np.real(np.vdot(residual, residual)))
     if res_sq <= SINGULAR_REL_TOL * norm_sq or norm_sq == 0.0:
         raise SingularFim(
             f"parameter {i} is unidentifiable: residual fraction "

@@ -43,7 +43,7 @@ from typing import Callable
 import numpy as np
 
 from . import betalaw, fisher
-from .errors import BadShape, BadSpec, DomainError, RankDeficient, SingularFim, TooFewSamples, is_int
+from .errors import BadShape, BadSpec, DomainError, RankDeficient, SingularFim, TooFewSamples, is_int, is_real_array
 from .randcomp import CompressorSpec, check_key, derive_stream, sample
 from .sigmodel import UlaModel
 
@@ -182,6 +182,14 @@ def _check_bins(bins) -> None:
         raise BadSpec(f"bins must be a positive int, got {bins!r}")
 
 
+def _real_samples(samples, what: str) -> np.ndarray:
+    """``samples`` flattened to float64, or BadShape unless they are real numbers (complex is not made real)."""
+    x = np.asarray(samples)
+    if not is_real_array(x):
+        raise BadShape(f"{what} samples must be real, got {x.dtype} values")
+    return x.astype(np.float64, copy=False).ravel()
+
+
 def ks_one_sample(samples, cdf: Callable, alpha: float = 0.01) -> KsResult:
     """One-sample KS test of ``samples`` against a continuous ``cdf``.
 
@@ -189,7 +197,7 @@ def ks_one_sample(samples, cdf: Callable, alpha: float = 0.01) -> KsResult:
     at least 100 samples are required for the asymptotics to be fair.
     """
     _check_alpha(alpha)
-    x = np.sort(np.asarray(samples, dtype=np.float64).ravel())
+    x = np.sort(_real_samples(samples, "KS"))
     n = x.shape[0]
     if n < 100:
         raise TooFewSamples(f"KS test needs at least 100 samples, got {n}")
@@ -206,13 +214,15 @@ def ks_one_sample(samples, cdf: Callable, alpha: float = 0.01) -> KsResult:
 
 def histogram(samples, bins: int = 50) -> Histogram:
     """Equal-width histogram over [min, max]; every sample lands in some bin."""
-    x = np.asarray(samples, dtype=np.float64).ravel()
+    x = _real_samples(samples, "histogram")
     if x.size == 0:
         raise TooFewSamples("histogram needs at least one sample")
     if not np.all(np.isfinite(x)):
         raise BadShape("histogram samples contain non-finite values")
     _check_bins(bins)
     lo, hi = float(x.min()), float(x.max())
+    if not np.isfinite(hi - lo):
+        raise BadShape(f"histogram span [{lo:.3e}, {hi:.3e}] overflows a double")
     # span of a few ulps cannot support bins of distinct finite width; a
     # single bin is the honest picture of constant data
     if 0.0 < hi - lo <= bins * np.spacing(max(abs(lo), abs(hi))):

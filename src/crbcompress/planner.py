@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from . import betalaw, cxla
-from .errors import BadShape, DomainError, Infeasible, NoConvergence, NotPositiveDefinite, is_int
+from .errors import BadShape, DomainError, Infeasible, NoConvergence, NotPositiveDefinite, is_int, is_real
 
 DEFAULT_CONFIDENCES = (0.90, 0.99)
 
@@ -46,10 +46,10 @@ class PlanQuery:
             raise DomainError(f"need p >= 1, got p={self.p}")
         if self.n <= self.p + 1:
             raise DomainError(f"need n > p + 1, got n={self.n}, p={self.p}")
-        if not (self.kappa > 1.0 and math.isfinite(self.kappa)):
-            raise DomainError(f"need kappa > 1, got {self.kappa}")
-        if not 0.0 < self.confidence < 1.0:
-            raise DomainError(f"confidence must lie in (0, 1), got {self.confidence}")
+        if not (is_real(self.kappa) and self.kappa > 1.0 and math.isfinite(self.kappa)):
+            raise DomainError(f"need a real kappa > 1, got {self.kappa!r}")
+        if not (is_real(self.confidence) and 0.0 < self.confidence < 1.0):
+            raise DomainError(f"confidence must be a real number in (0, 1), got {self.confidence!r}")
 
 
 @dataclass(frozen=True)
@@ -74,8 +74,8 @@ def confidence_at(n: int, m: int, p: int, kappa: float) -> float:
     domain p < m < n, which ``betalaw.crb_ratio_law`` checks.
     """
     law = betalaw.crb_ratio_law(n, m, p)
-    if not (kappa > 0.0 and math.isfinite(kappa)):
-        raise DomainError(f"kappa must be positive and finite, got {kappa}")
+    if not (is_real(kappa) and kappa > 0.0 and math.isfinite(kappa)):
+        raise DomainError(f"kappa must be a positive finite real number, got {kappa!r}")
     if kappa <= 1.0:
         return 0.0
     return betalaw.beta_sf(law, 1.0 / kappa)
@@ -228,8 +228,8 @@ def ellipse_locus(J, r2: float, points: int = 256) -> np.ndarray:
     J = cxla.as_hermitian(J, "J")
     if J.shape != (2, 2):
         raise BadShape(f"ellipse loci are defined for 2x2 matrices, got {J.shape}")
-    if not (r2 > 0.0 and math.isfinite(r2)):
-        raise DomainError(f"level r2 must be positive and finite, got {r2}")
+    if not (is_real(r2) and r2 > 0.0 and math.isfinite(r2)):
+        raise DomainError(f"level r2 must be a positive finite real number, got {r2!r}")
     if not (is_int(points) and points >= 3):
         raise DomainError(f"need at least 3 points, got {points!r}")
     a = np.real(J)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadShape, BadSpec, is_int
+from .errors import BadShape, BadSpec, is_int, is_real
 
 
 def _reduce_angle(theta: float) -> float:
@@ -46,6 +46,8 @@ class UlaScenario:
         if len(self.sources) == 0:
             raise BadSpec("scenario needs at least one source")
         for s in self.sources:
+            if not (is_real(s.theta) and is_real(s.amplitude) and is_real(s.phase)):
+                raise BadSpec(f"source angle, amplitude and phase must be real numbers, got {s!r}")
             if not (s.amplitude > 0.0 and math.isfinite(s.amplitude)):
                 raise BadSpec(f"source amplitude must be positive, got {s.amplitude}")
             if not (math.isfinite(s.theta) and math.isfinite(s.phase)):

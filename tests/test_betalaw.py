@@ -10,7 +10,7 @@ import scipy.integrate
 import scipy.special
 import scipy.stats
 
-from crbcompress import betalaw
+from crbcompress import betalaw, cxla
 from crbcompress.betalaw import (
     BetaLaw,
     MatrixBetaLaw,
@@ -896,6 +896,18 @@ def test_moments_scale_with_the_uncompressed_bound():
     got = moments(40, 10, 3, j, 1)
     np.testing.assert_allclose(got.mean_crb, 37.0 / 7.0 * crb_before, rtol=1e-12)
     np.testing.assert_allclose(got.var_crb, 30.0 * 37.0 / (6.0 * 49.0) * crb_before**2, rtol=1e-12)
+
+
+def test_moments_share_the_definiteness_verdict_of_hermitian_inv_sqrt():
+    # lambda_min / lambda_max at PD_TOL is not positive definite for either
+    at_floor = np.diag([1.0, cxla.PD_TOL])
+    with pytest.raises(NotPositiveDefinite):
+        cxla.hermitian_inv_sqrt(at_floor)
+    with pytest.raises(NotPositiveDefinite):
+        moments(12, 6, 2, at_floor, 0)
+    above = np.diag([1.0, 2.0 * cxla.PD_TOL])
+    cxla.hermitian_inv_sqrt(above)
+    np.testing.assert_allclose(moments(12, 6, 2, above, 1).mean_crb, 10.0 / 4.0 / (2.0 * cxla.PD_TOL), rtol=1e-12)
 
 
 def test_moments_degenerate_and_domain():

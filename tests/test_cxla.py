@@ -1,8 +1,12 @@
 """Kernel checks: validation, bases, coordinates, Hermitian roots."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import crbcompress
 from crbcompress import cxla
 from crbcompress.errors import BadShape, NotPositiveDefinite, RankDeficient
 from crbcompress.fisher import compressed_fim
@@ -172,3 +176,30 @@ def test_non_finite_real_or_imaginary_part_is_rejected(entry):
         cxla.as_complex_matrix(matrix)
     with pytest.raises(BadShape):
         cxla.as_complex_vector(vector)
+
+
+def _verdicts(tree: ast.AST):
+    """(line, what) of every rank or definiteness decision: an inverse or
+    singular value routine of np.linalg, an R-only QR, or a verdict tolerance."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in {"svd", "inv", "pinv", "matrix_rank"}:
+            if isinstance(node.value, ast.Attribute) and node.value.attr == "linalg":
+                yield node.lineno, f"linalg.{node.attr}"
+        if isinstance(node, ast.keyword) and node.arg == "mode":
+            if isinstance(node.value, ast.Constant) and node.value.value == "r":
+                yield node.value.lineno, 'mode="r"'
+        name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+        if name in {"RANK_TOL", "PD_TOL"}:
+            yield node.lineno, name
+
+
+def test_only_cxla_decides_rank_and_definiteness():
+    # randcomp's Haar QR (a full QR) and the eigvalsh of sampled statistics decide nothing
+    src = Path(crbcompress.__file__).resolve().parent
+    found = {path.name: sorted(set(_verdicts(ast.parse(path.read_text(encoding="utf-8")))))
+             for path in sorted(src.rglob("*.py"))}
+    assert found.pop("cxla.py"), "cxla holds the verdicts"
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    # the guard sees each spelling
+    probe = "np.linalg.inv(a)\nnp.linalg.qr(a, mode='r')\ncxla.PD_TOL\nnp.linalg.qr(a)\nnp.linalg.eigvalsh(a)"
+    assert [what for _, what in sorted(_verdicts(ast.parse(probe)))] == ["linalg.inv", 'mode="r"', "PD_TOL"]

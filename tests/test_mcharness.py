@@ -114,6 +114,13 @@ def test_histogram_collapses_near_constant_data():
     assert h.total == 120
 
 
+def test_histogram_span_past_the_largest_double_is_a_bad_shape():
+    # max - min overflows to inf, where numpy raises an untyped ValueError
+    with pytest.raises(BadShape, match="overflows"):
+        histogram([-1e308, 1e308])
+    assert histogram([0.0, 1e308], bins=4).total == 2
+
+
 def test_histogram_density_tracks_the_law():
     # deterministic quantile grid: bin density equals the bin-averaged pdf
     # up to 1/(N * width) rounding
