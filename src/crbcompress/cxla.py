@@ -2,8 +2,10 @@
 
 Orthonormal bases, coordinates in a column space, residuals and
 Hermitian inverse square roots, all on plain ``numpy`` arrays in
-``complex128``.  This module alone factors a matrix to decide its rank
-(RANK_TOL) or its definiteness (PD_TOL).  A full-rank basis costs one
+``complex128``.  Every rank verdict (RANK_TOL) and every PD_TOL
+definiteness verdict of the package is made here; the one other
+definiteness check, ``planner.ellipse_locus``'s eigenvalue sign test
+before its Cholesky, is left as it is.  A full-rank basis costs one
 QR: its triangular factor carries the singular values that decide the
 rank verdict.  Coordinates in the column space of B and the residual of
 A against it cost one R-only QR of [B | A]: the leading block R11
@@ -83,14 +85,15 @@ def column_space_coordinates(basis: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Q^H a, for Q an orthonormal basis of the columns of ``basis``.
 
     ``basis`` is n-by-m and ``a`` n-by-k, both finite complex128 arrays
-    (the caller validates them): the first m rows of :func:`_r_beside`,
-    with its rank verdict.  The coordinates keep every inner product of
-    the projection Q Q^H a, so (Q^H a)^H (Q^H a) is its Gram matrix.
+    (the caller validates them): the first m rows of
+    :func:`coordinates_and_residual`, with its rank verdict.  The
+    coordinates keep every inner product of the projection Q Q^H a, so
+    (Q^H a)^H (Q^H a) is its Gram matrix.
     """
-    return _r_beside(basis, a)[: basis.shape[1]]
+    return coordinates_and_residual(basis, a)[: basis.shape[1]]
 
 
-def _r_beside(basis: np.ndarray, a: np.ndarray) -> np.ndarray:
+def coordinates_and_residual(basis: np.ndarray, a: np.ndarray) -> np.ndarray:
     """The columns of R beside ``basis`` in one R-only QR of [basis | a].
 
     ``basis`` is n-by-m (n >= m, else BadShape) and ``a`` n-by-k, both
@@ -116,9 +119,7 @@ def _check_tall(m: np.ndarray) -> None:
 
 def _check_full_rank(r: np.ndarray, shape: tuple) -> None:
     """RankDeficient unless the square triangular factor ``r`` of a ``shape`` matrix has full rank."""
-    # a 1x1 factor's singular value is its modulus; at p = 2 every crb call
-    # has one, and an SVD call would add about a third to its cost
-    s = np.abs(r[0]) if r.shape[0] == 1 else np.linalg.svd(r, compute_uv=False)
+    s = np.linalg.svd(r, compute_uv=False)
     if s[0] == 0.0 or s[-1] <= RANK_TOL * s[0]:
         raise RankDeficient(
             f"matrix of shape {shape} is rank deficient "

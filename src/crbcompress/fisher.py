@@ -119,7 +119,7 @@ def crb(info: FimResult, i: int) -> float:
     others = np.delete(info.G, i, axis=1)
     norm_sq = float(np.real(np.vdot(g, g)))
     try:
-        r = cxla._r_beside(others, g[:, None])
+        r = cxla.coordinates_and_residual(others, g[:, None])
     except RankDeficient as exc:
         raise SingularFim(f"parameter {i} is unidentifiable: J is singular, its other columns' {exc}") from exc
     residual = r[others.shape[1] :]
