@@ -913,8 +913,13 @@ def _real_points(x, what: str) -> np.ndarray:
 
 
 def _real_point(x, what: str) -> float:
-    """The 0-d ``x`` as a float, checked as ``_real_points`` checks arrays unless it is a float."""
-    return float(x if isinstance(x, float) else _real_points(x, what))
+    """``x`` as a float, checked as ``_real_points`` checks arrays unless it is a float; DomainError unless 0-d."""
+    if isinstance(x, float):
+        return float(x)
+    arr = _real_points(x, what)
+    if arr.ndim:
+        raise DomainError(f"{what} argument must be a scalar, got shape {arr.shape}")
+    return float(arr)
 
 
 def _unit_points(x, what: str) -> np.ndarray:

@@ -406,16 +406,14 @@ def _ellipse_curves(scenario: UlaScenario, sigma2: float, spec: CompressorSpec,
     if model.p != 2:
         raise BadSpec(f"ellipse loci need a two-parameter scenario, got p={model.p}")
     G = model.jacobian(model.reference_theta)
-    info = fisher.fim(G, sigma2)
-    level = float(np.real(info.J[0, 0])) if r2 is None else float(r2)
-    curves = [(0, planner.ellipse_locus(info.J, level, points))]
+    before = _real_form(fisher.fim(G, sigma2))
+    level = float(np.real(before.J[0, 0])) if r2 is None else float(r2)
+    curves = [(0, planner.ellipse_locus(before.J, level, points))]
     lam_max = []
-    real_before = _real_form(info)
     for d in range(draws):
-        after = fisher.compressed_fim(G, sample(spec, derive_stream(spec.seed, d)), sigma2)
+        after = _real_form(fisher.compressed_fim(G, sample(spec, derive_stream(spec.seed, d)), sigma2))
         curves.append((d + 1, planner.ellipse_locus(after.J, level, points)))
-        w = fisher.normalized_fim(real_before, _real_form(after))
-        lam_max.append(float(np.linalg.eigvalsh(w)[-1]))
+        lam_max.append(float(np.linalg.eigvalsh(fisher.normalized_fim(before, after))[-1]))
     return level, curves, lam_max
 
 

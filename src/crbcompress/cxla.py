@@ -2,15 +2,13 @@
 
 Orthonormal bases, coordinates in a column space, residuals and
 Hermitian inverse square roots, all on plain ``numpy`` arrays in
-``complex128``.  Every rank verdict (RANK_TOL) and every PD_TOL
-definiteness verdict of the package is made here; the one other
-definiteness check, ``planner.ellipse_locus``'s eigenvalue sign test
-before its Cholesky, is left as it is.  A full-rank basis costs one
-QR: its triangular factor carries the singular values that decide the
-rank verdict.  Coordinates in the column space of B and the residual of
-A against it cost one R-only QR of [B | A]: the leading block R11
-decides the verdict, the block R12 beside it is Q^H A and the block
-below R12 is the triangular factor of the residual, so Q is never
+``complex128``.  Every rank verdict (RANK_TOL) and every definiteness
+verdict (PD_TOL) of the package is made here.  A full-rank basis costs
+one QR: its triangular factor carries the singular values that decide
+the rank verdict.  Coordinates in the column space of B and the
+residual of A against it cost one R-only QR of [B | A]: the leading
+block R11 decides the verdict, the block R12 beside it is Q^H A and the
+block below R12 is the triangular factor of the residual, so Q is never
 formed.  Routines that produce Hermitian matrices re-symmetrize the
 result so downstream ``eigh`` calls never see accumulated asymmetry.
 """
@@ -79,18 +77,6 @@ def orthonormal_columns(m) -> np.ndarray:
     q, r = np.linalg.qr(m)
     _check_full_rank(r, m.shape)
     return q
-
-
-def column_space_coordinates(basis: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Q^H a, for Q an orthonormal basis of the columns of ``basis``.
-
-    ``basis`` is n-by-m and ``a`` n-by-k, both finite complex128 arrays
-    (the caller validates them): the first m rows of
-    :func:`coordinates_and_residual`, with its rank verdict.  The
-    coordinates keep every inner product of the projection Q Q^H a, so
-    (Q^H a)^H (Q^H a) is its Gram matrix.
-    """
-    return coordinates_and_residual(basis, a)[: basis.shape[1]]
 
 
 def coordinates_and_residual(basis: np.ndarray, a: np.ndarray) -> np.ndarray:

@@ -138,7 +138,7 @@ def _project_onto_rows(a: np.ndarray, phi: np.ndarray) -> np.ndarray:
     ``phi`` is validated by the caller; RankDeficient unless it has full row rank.
     """
     try:
-        return cxla.column_space_coordinates(phi.conj().T, a)
+        return cxla.coordinates_and_residual(phi.conj().T, a)[: phi.shape[0]]
     except RankDeficient as exc:
         raise RankDeficient(f"phi does not have full row rank: {exc}") from exc
 

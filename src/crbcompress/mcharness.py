@@ -183,11 +183,14 @@ def _check_bins(bins) -> None:
 
 
 def _real_samples(samples, what: str) -> np.ndarray:
-    """``samples`` flattened to float64, or BadShape unless they are real numbers (complex is not made real)."""
+    """``samples`` flattened to float64, or BadShape unless they are finite real numbers (complex is not made real)."""
     x = np.asarray(samples)
     if not is_real_array(x):
         raise BadShape(f"{what} samples must be real, got {x.dtype} values")
-    return x.astype(np.float64, copy=False).ravel()
+    x = x.astype(np.float64, copy=False).ravel()
+    if not np.isfinite(x).all():
+        raise BadShape(f"{what} samples contain non-finite values")
+    return x
 
 
 def ks_one_sample(samples, cdf: Callable, alpha: float = 0.01) -> KsResult:
@@ -204,6 +207,8 @@ def ks_one_sample(samples, cdf: Callable, alpha: float = 0.01) -> KsResult:
     f = np.asarray(cdf(x), dtype=np.float64)
     if f.shape != x.shape:
         raise BadShape(f"cdf must return one value per sample, got shape {f.shape} for {x.shape}")
+    if not np.isfinite(f).all():
+        raise BadShape("cdf returned non-finite values")
     i = np.arange(1, n + 1, dtype=np.float64)
     d_plus = float(np.max(i / n - f))
     d_minus = float(np.max(f - (i - 1.0) / n))
@@ -217,8 +222,6 @@ def histogram(samples, bins: int = 50) -> Histogram:
     x = _real_samples(samples, "histogram")
     if x.size == 0:
         raise TooFewSamples("histogram needs at least one sample")
-    if not np.all(np.isfinite(x)):
-        raise BadShape("histogram samples contain non-finite values")
     _check_bins(bins)
     lo, hi = float(x.min()), float(x.max())
     if not np.isfinite(hi - lo):

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from . import betalaw, cxla
-from .errors import BadShape, DomainError, Infeasible, NoConvergence, NotPositiveDefinite, is_int, is_real
+from .errors import BadShape, DomainError, Infeasible, NoConvergence, is_int, is_real
 
 DEFAULT_CONFIDENCES = (0.90, 0.99)
 
@@ -218,12 +218,15 @@ def curve(
 
 
 def ellipse_locus(J, r2: float, points: int = 256) -> np.ndarray:
-    """Locus {e in R^2 : e^T Re(J) e = r2}, sampled uniformly in angle.
+    """Locus {e in R^2 : e^T Re(J) e = r2}, the image of a circle under Re(J)^{-1/2}.
 
-    ``J`` is a 2x2 Hermitian positive definite information matrix; the
-    real part governs real-valued error vectors.  Returns an array of
-    shape (points, 2); the curve is closed but the first point is not
-    repeated.
+    ``J`` is a 2x2 Hermitian information matrix; the real part governs
+    real-valued error vectors.  The points are sqrt(r2) S c for c on the
+    unit circle, uniform in angle, and S the symmetric root
+    ``cxla.hermitian_inv_sqrt(Re(J))``, whose PD_TOL verdict raises
+    NotPositiveDefinite unless the smallest eigenvalue of Re(J) exceeds
+    PD_TOL times the largest.  Returns an array of shape (points, 2);
+    the curve is closed but the first point is not repeated.
     """
     J = cxla.as_hermitian(J, "J")
     if J.shape != (2, 2):
@@ -232,15 +235,7 @@ def ellipse_locus(J, r2: float, points: int = 256) -> np.ndarray:
         raise DomainError(f"level r2 must be a positive finite real number, got {r2!r}")
     if not (is_int(points) and points >= 3):
         raise DomainError(f"need at least 3 points, got {points!r}")
-    a = np.real(J)
-    a = 0.5 * (a + a.T)
-    w = np.linalg.eigvalsh(a)
-    if w[0] <= 0.0:
-        raise NotPositiveDefinite(
-            f"Re(J) must be positive definite (eigenvalue range [{w[0]:.3e}, {w[-1]:.3e}])"
-        )
-    L = np.linalg.cholesky(a)
+    s = np.real(cxla.hermitian_inv_sqrt(np.real(J)))
     angles = np.linspace(0.0, 2.0 * math.pi, points, endpoint=False)
     circle = np.vstack([np.cos(angles), np.sin(angles)])
-    locus = math.sqrt(r2) * np.linalg.solve(L.T, circle)
-    return locus.T
+    return (math.sqrt(r2) * (s @ circle)).T

@@ -82,20 +82,20 @@ def test_compressed_fim_shares_the_verdict():
     with pytest.raises(RankDeficient, match="phi does not have full row rank"):
         compressed_fim(g, basis.conj().T)
     with pytest.raises(RankDeficient):
-        cxla.column_space_coordinates(basis, g)
+        cxla.coordinates_and_residual(basis, g)
     basis = _frame_times_unit_triangle(rng, 24)
     assert compressed_fim(g, basis.conj().T).G.shape == (24, 2)
 
 
 @pytest.mark.parametrize("shape, k", [((8, 3), 1), ((32, 16), 2), ((128, 64), 2), ((5, 5), 3)])
-def test_column_space_coordinates_are_q_conjugate_transpose_a(shape, k):
+def test_coordinates_are_q_conjugate_transpose_a(shape, k):
     # Q from numpy's QR of the basis alone; the augmented QR uses the same
     # reflectors on the leading columns, so the coordinates are in that Q
     rng = np.random.default_rng(22)
     basis = _random_complex(rng, shape)
     a = _random_complex(rng, (shape[0], k))
     q = np.linalg.qr(basis)[0]
-    y = cxla.column_space_coordinates(basis, a)
+    y = cxla.coordinates_and_residual(basis, a)[: shape[1]]
     assert y.shape == (shape[1], k)
     np.testing.assert_allclose(y, q.conj().T @ a, rtol=0.0, atol=1e-12 * np.abs(a).max() * shape[0])
 
@@ -159,7 +159,7 @@ def test_shape_validation():
     with pytest.raises(BadShape):
         cxla.orthonormal_columns(np.ones((2, 3)))
     with pytest.raises(BadShape):
-        cxla.column_space_coordinates(np.ones((2, 3)), np.ones((2, 1)))
+        cxla.coordinates_and_residual(np.ones((2, 3)), np.ones((2, 1)))
 
 
 @pytest.mark.parametrize(
@@ -179,10 +179,11 @@ def test_non_finite_real_or_imaginary_part_is_rejected(entry):
 
 
 def _verdicts(tree: ast.AST):
-    """(line, what) of every rank or definiteness decision: an inverse or
-    singular value routine of np.linalg, an R-only QR, or a verdict tolerance."""
+    """(line, what) of every rank or definiteness decision: an inverse,
+    singular value, Cholesky or eigendecomposition routine of np.linalg,
+    an R-only QR, or a verdict tolerance."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and node.attr in {"svd", "inv", "pinv", "matrix_rank"}:
+        if isinstance(node, ast.Attribute) and node.attr in {"svd", "inv", "pinv", "matrix_rank", "cholesky", "eigh"}:
             if isinstance(node.value, ast.Attribute) and node.value.attr == "linalg":
                 yield node.lineno, f"linalg.{node.attr}"
         if isinstance(node, ast.keyword) and node.arg == "mode":
@@ -201,5 +202,7 @@ def test_only_cxla_decides_rank_and_definiteness():
     assert found.pop("cxla.py"), "cxla holds the verdicts"
     assert {name: lines for name, lines in found.items() if lines} == {}
     # the guard sees each spelling
-    probe = "np.linalg.inv(a)\nnp.linalg.qr(a, mode='r')\ncxla.PD_TOL\nnp.linalg.qr(a)\nnp.linalg.eigvalsh(a)"
-    assert [what for _, what in sorted(_verdicts(ast.parse(probe)))] == ["linalg.inv", 'mode="r"', "PD_TOL"]
+    probe = ("np.linalg.inv(a)\nnp.linalg.qr(a, mode='r')\ncxla.PD_TOL\nnp.linalg.qr(a)\nnp.linalg.eigvalsh(a)\n"
+             "np.linalg.cholesky(a)\nnp.linalg.eigh(a)")
+    assert [what for _, what in sorted(_verdicts(ast.parse(probe)))] == [
+        "linalg.inv", 'mode="r"', "PD_TOL", "linalg.cholesky", "linalg.eigh"]

@@ -61,6 +61,16 @@ def test_ks_one_sample_validation():
         ks_one_sample(np.linspace(0.1, 0.9, 99), lambda x: x)
     with pytest.raises(DomainError):
         ks_one_sample(np.linspace(0.01, 0.99, 200), lambda x: x, alpha=0.1)
+    # a non-finite sample is refused before the cdf sees it, as histogram
+    # refuses it, and a non-finite cdf value does not become statistic=nan
+    law = BetaLaw(3.0, 5.0)
+    for bad in (np.nan, np.inf, -np.inf):
+        x = np.linspace(0.01, 0.99, 200)
+        x[17] = bad
+        with pytest.raises(BadShape, match="KS samples contain non-finite"):
+            ks_one_sample(x, lambda v: beta_cdf(law, v))
+    with pytest.raises(BadShape, match="cdf returned non-finite"):
+        ks_one_sample(np.linspace(0.01, 0.99, 200), lambda v: np.where(v > 0.5, np.nan, v))
 
 
 def test_ks_one_sample_needs_one_cdf_value_per_sample():

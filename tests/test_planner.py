@@ -335,6 +335,9 @@ def test_ellipse_validation():
         ellipse_locus(np.eye(3), 1.0)
     with pytest.raises(NotPositiveDefinite):
         ellipse_locus(np.diag([1.0, -1.0]), 1.0)
+    # positive but below the PD_TOL floor: the locus would reach 3.16e7
+    with pytest.raises(NotPositiveDefinite):
+        ellipse_locus(np.diag([1.0, 1e-15]), 1.0)
     with pytest.raises(DomainError):
         ellipse_locus(np.eye(2), 0.0)
     with pytest.raises(DomainError):

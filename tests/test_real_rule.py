@@ -75,6 +75,8 @@ def test_scalar_points_keep_the_scalar_kernel():
     assert betalaw.beta_tails_pdf(LAW, 0.3)[0] == betalaw.beta_cdf(LAW, 0.3)
     with pytest.raises(DomainError):
         betalaw.beta_tails_pdf(LAW, 0.3 + 0.5j)
+    with pytest.raises(DomainError, match="scalar"):
+        betalaw.beta_tails_pdf(LAW, np.array([0.3]))
 
 
 def test_the_rules():
