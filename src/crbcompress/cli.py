@@ -58,6 +58,8 @@ _FLAG_ONLY = frozenset(
 _SOURCE_FIELDS = {f.name: f.default for f in dataclasses.fields(Source)}
 # the JSON values a config file may give an option of each flag type
 _JSON_TYPES = {int: int, float: (int, float), str: str}
+# the environment variables that set BLAS thread counts, recorded in the manifest
+_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _float_list(text: str) -> list[float]:
@@ -194,6 +196,20 @@ def _jsonable(obj):
     if isinstance(obj, complex):
         return {"re": obj.real, "im": obj.imag}
     return obj
+
+
+def _environment() -> dict:
+    """What a run's speed depends on: numpy, its BLAS, the core count and the thread settings."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.26 has no dict form
+        blas = {}
+    return {
+        "numpy": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "nproc": os.cpu_count(),
+        "env": {name: os.environ.get(name) for name in _THREAD_VARIABLES},
+    }
 
 
 def _write_json(path: Path, obj) -> None:
@@ -699,6 +715,7 @@ def main(argv=None) -> int:
                 "version": __version__,
                 "outputs": sorted(outputs),
                 "duration_s": time.perf_counter() - t0,
+                "environment": _environment(),
             }
             _write_json(out / "manifest.json", manifest)
         return 0

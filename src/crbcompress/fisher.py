@@ -19,9 +19,11 @@ R-only QR of [B | A], which never forms Q.  With B = Phi^H and A = G
 (or x1 - x2) it gives the coordinates Q^H A of ``compressed_fim`` and
 ``compressed_kl``; with B the other columns of G and A column i it
 gives the residual of ``crb``.  Its leading block decides the rank
-verdict (``cxla.RANK_TOL``) each time: a compressor without full row
-rank raises RankDeficient, and other columns without full column rank
-make J singular, which raises SingularFim.  Arbitrary Jacobians enter
+verdict (``cxla.RANK_TOL``) each time, through a shifted Cholesky
+certificate and, only when that fails, its singular values: a
+compressor without full row rank raises RankDeficient, and other
+columns without full column rank make J singular, which raises
+SingularFim.  Arbitrary Jacobians enter
 through ``fim``, ``compressed_fim`` and ``crb``.
 ``normalized_fim`` alone forms W = J^{-1/2} Jhat J^{-1/2}, for each
 Monte Carlo trial and, on the real-form pair (Re J, Re Jhat) of the

@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from crbcompress.errors import BadSpec, DomainError, NotPositiveDefinite, TooFewSamples
+from crbcompress.cxla import RANK_TOL
+from crbcompress.errors import BadSpec, DomainError, NotPositiveDefinite, RankDeficient, TooFewSamples
 from crbcompress.mcharness import KS_CRITICAL, KsResult
 from crbcompress.sigmodel import UlaModel
 
@@ -34,6 +35,21 @@ def explicit_basis_projection(a: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """
     q = np.linalg.qr(phi.conj().T)[0]
     return q @ (q.conj().T @ a)
+
+
+def svd_full_rank_verdict(r: np.ndarray, shape: tuple) -> None:
+    """The rank verdict from the singular values of ``r`` alone, with no certificate.
+
+    RankDeficient, with ``cxla``'s message, when the smallest singular
+    value of the square triangular factor ``r`` of a ``shape`` matrix is
+    at or below RANK_TOL times the largest.
+    """
+    s = np.linalg.svd(r, compute_uv=False)
+    if s[0] == 0.0 or s[-1] <= RANK_TOL * s[0]:
+        raise RankDeficient(
+            f"matrix of shape {shape} is rank deficient "
+            f"(smallest/largest singular value = {s[-1]:.3e}/{s[0]:.3e})"
+        )
 
 
 def logdet_hpd(a) -> float:

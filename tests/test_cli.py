@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import os
 import re
 from pathlib import Path
 
@@ -409,6 +410,24 @@ def test_manifest_records_argv_and_seed(tmp_path, capsys):
     assert sorted(manifest["outputs"]) == manifest["outputs"]
     assert manifest["duration_s"] > 0.0
     assert math.isfinite(manifest["duration_s"])
+
+
+def test_manifest_records_the_environment(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    out = tmp_path / "env"
+    assert cli.main(["fisher", "--n", "16", "--out", str(out)]) == 0
+    capsys.readouterr()
+    environment = json.loads((out / "manifest.json").read_text())["environment"]
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert environment == {
+        "numpy": np.__version__,
+        "blas": {"name": blas["name"], "version": blas["version"]},
+        "nproc": os.cpu_count(),
+        "env": {"OPENBLAS_NUM_THREADS": None, "OMP_NUM_THREADS": "3", "MKL_NUM_THREADS": None},
+    }
+    assert environment["blas"]["name"]
 
 
 def _write_config(tmp_path, config):

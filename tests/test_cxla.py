@@ -5,11 +5,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import svd_full_rank_verdict
 
 import crbcompress
 from crbcompress import cxla
 from crbcompress.errors import BadShape, NotPositiveDefinite, RankDeficient
-from crbcompress.fisher import compressed_fim
+from crbcompress.fisher import compressed_fim, compressed_kl, crb
+from crbcompress.randcomp import CompressorSpec, derive_stream, sample
+from crbcompress.sigmodel import UlaModel, two_source_half_rayleigh
 
 
 def _random_complex(rng, shape):
@@ -45,6 +48,18 @@ def test_orthonormal_columns_rank_deficient():
         cxla.orthonormal_columns(m)
 
 
+def _count_svd_calls(monkeypatch) -> list:
+    """Patch np.linalg.svd, as cxla sees it, to count its calls in the one-element list returned."""
+    calls, svd = [0], np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(cxla.np.linalg, "svd", counted)
+    return calls
+
+
 def _frame_times_unit_triangle(rng, k):
     """Q T: a random complex 80-by-k orthonormal frame times the k-by-k
     unit upper triangle with -1 above the diagonal.
@@ -57,7 +72,7 @@ def _frame_times_unit_triangle(rng, k):
     return q @ (np.eye(k) - np.triu(np.ones((k, k)), 1))
 
 
-def test_orthonormal_columns_verdict_reads_singular_values_not_the_r_diagonal():
+def test_orthonormal_columns_verdict_reads_singular_values_not_the_r_diagonal(monkeypatch):
     rng = np.random.default_rng(20)
     m = _frame_times_unit_triangle(rng, 40)
     s = np.linalg.svd(m, compute_uv=False)
@@ -67,10 +82,62 @@ def test_orthonormal_columns_verdict_reads_singular_values_not_the_r_diagonal():
     with pytest.raises(RankDeficient):
         cxla.orthonormal_columns(m)
     # at 24 columns the singular value ratio is about 1e-8, above RANK_TOL
+    # but below the certificate's reach, so the SVD accepts it
     m = _frame_times_unit_triangle(rng, 24)
     s = np.linalg.svd(m, compute_uv=False)
     assert s[-1] / s[0] > 100 * cxla.RANK_TOL
+    calls = _count_svd_calls(monkeypatch)
     assert cxla.orthonormal_columns(m).shape == (80, 24)
+    assert calls == [1]
+
+
+def _verdict(check, r, shape):
+    """None if ``check`` accepts ``r``, else the RankDeficient message."""
+    try:
+        check(r, shape)
+    except RankDeficient as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 16, 64])
+@pytest.mark.filterwarnings("error")
+def test_rank_verdict_and_message_equal_the_svd_oracle(k, monkeypatch):
+    # R of a (k + 3)-by-k matrix with geometric singular values from 1 down
+    # to each ratio, also at scales where the Gram matrix underflows (at
+    # 1e-160 its rounding alone would certify some rank-deficient R) or
+    # overflows, which must not warn either
+    rng = np.random.default_rng(23)
+    calls = _count_svd_calls(monkeypatch)
+    shape = (k + 3, k)
+    checked = 0
+    for ratio in np.logspace(-2, -13, 45):
+        left = np.linalg.qr(_random_complex(rng, shape))[0]
+        right = np.linalg.qr(_random_complex(rng, (k, k)))[0]
+        r = np.linalg.qr((left * np.geomspace(1.0, ratio, k)) @ right.conj().T, mode="r")
+        for scale in (1e-200, 1e-160, 1e-120, 1e-20, 1.0, 1e20, 1e120, 1e150, 1e160):
+            assert _verdict(cxla._check_full_rank, r * scale, shape) == _verdict(svd_full_rank_verdict, r * scale, shape)
+            checked += 1
+    # the oracle ran one SVD per case; the certificate spared some, not all
+    fallbacks = calls[0] - checked
+    assert 0 < fallbacks < checked
+
+
+@pytest.mark.parametrize("n, m, draws", [(32, 16, 20), (128, 64, 5)])
+def test_gaussian_draws_take_the_certificate(n, m, draws, monkeypatch):
+    def no_svd(*args, **kwargs):
+        raise AssertionError("the rank verdict fell back to the SVD")
+
+    monkeypatch.setattr(cxla.np.linalg, "svd", no_svd)
+    model = UlaModel(two_source_half_rayleigh(n))
+    g = model.jacobian(model.reference_theta)
+    x_ref = model.mean(model.reference_theta)
+    x_alt = model.mean(model.reference_theta + np.array([0.011, -0.017]))
+    spec = CompressorSpec(m=m, n=n, family="gaussian", seed=3)
+    for t in range(draws):
+        phi = sample(spec, derive_stream(3, t))
+        assert crb(compressed_fim(g, phi), 0) > 0.0
+        assert compressed_kl(x_ref, x_alt, 1.0, phi) > 0.0
 
 
 def test_compressed_fim_shares_the_verdict():
@@ -181,7 +248,8 @@ def test_non_finite_real_or_imaginary_part_is_rejected(entry):
 def _verdicts(tree: ast.AST):
     """(line, what) of every rank or definiteness decision: an inverse,
     singular value, Cholesky or eigendecomposition routine of np.linalg,
-    an R-only QR, or a verdict tolerance."""
+    an R-only QR, a verdict tolerance, or LinAlgError, whose catch is a
+    verdict."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and node.attr in {"svd", "inv", "pinv", "matrix_rank", "cholesky", "eigh"}:
             if isinstance(node.value, ast.Attribute) and node.value.attr == "linalg":
@@ -190,7 +258,7 @@ def _verdicts(tree: ast.AST):
             if isinstance(node.value, ast.Constant) and node.value.value == "r":
                 yield node.value.lineno, 'mode="r"'
         name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
-        if name in {"RANK_TOL", "PD_TOL"}:
+        if name in {"RANK_TOL", "PD_TOL", "LinAlgError"}:
             yield node.lineno, name
 
 
@@ -203,6 +271,6 @@ def test_only_cxla_decides_rank_and_definiteness():
     assert {name: lines for name, lines in found.items() if lines} == {}
     # the guard sees each spelling
     probe = ("np.linalg.inv(a)\nnp.linalg.qr(a, mode='r')\ncxla.PD_TOL\nnp.linalg.qr(a)\nnp.linalg.eigvalsh(a)\n"
-             "np.linalg.cholesky(a)\nnp.linalg.eigh(a)")
+             "np.linalg.cholesky(a)\nnp.linalg.eigh(a)\ntry:\n    a\nexcept np.linalg.LinAlgError:\n    pass")
     assert [what for _, what in sorted(_verdicts(ast.parse(probe)))] == [
-        "linalg.inv", 'mode="r"', "PD_TOL", "linalg.cholesky", "linalg.eigh"]
+        "linalg.inv", 'mode="r"', "PD_TOL", "linalg.cholesky", "linalg.eigh", "LinAlgError"]

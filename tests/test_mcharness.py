@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 import scipy.stats
-from oracles import ks_two_sample
+from oracles import ks_two_sample, svd_full_rank_verdict
 
 from crbcompress import cxla
 from crbcompress.betalaw import BetaLaw, beta_cdf, beta_pdf, beta_quantile, crb_ratio_law
@@ -368,6 +368,29 @@ def test_run_matrix_means_approach_their_laws():
     j = fim(model.jacobian(model.reference_theta)).J
     rel = np.linalg.norm(summary.fim_mean - 0.5 * j) / np.linalg.norm(j)
     assert rel < 0.05
+
+
+@pytest.mark.parametrize("n, m, family, statistics", [
+    (32, 16, "gaussian", STATISTICS),
+    (128, 64, "gaussian", ("crb_ratio",)),
+    (128, 64, "stiefel", ("crb_ratio",)),
+])
+def test_run_is_bit_identical_under_the_svd_only_rank_verdict(n, m, family, statistics, monkeypatch):
+    # the rank certificate feeds no number, so a campaign cannot tell it from the SVD
+    theta_alt = UlaModel(two_source_half_rayleigh(n)).reference_theta + np.array([0.011, -0.017])
+    config = _doa_config(n, m, 50, family=family, seed=9, statistics=statistics, theta_alt=theta_alt)
+    fast = run(config)
+    monkeypatch.setattr(cxla, "_check_full_rank", svd_full_rank_verdict)
+    oracle = run(config)
+    assert fast.excluded_by_cause == oracle.excluded_by_cause
+    assert np.array_equal(fast.trial_index, oracle.trial_index)
+    assert fast.samples.keys() == oracle.samples.keys()
+    for name in fast.samples:
+        assert np.array_equal(fast.samples[name], oracle.samples[name])
+        assert fast.stats[name].mean == oracle.stats[name].mean
+    for name in ("w_mean", "fim_mean"):
+        if name in statistics:
+            assert np.array_equal(getattr(fast, name), getattr(oracle, name))
 
 
 def test_run_families_share_the_ratio_law():
