@@ -173,8 +173,13 @@ def _check_dims(n: int, m: int, p: int = 1) -> None:
 class MatrixBetaLaw:
     """Type-I complex matrix beta law CB_p(m, n - m) on 0 <= V <= I_p.
 
-    The law of the complex-form W = J^{-1/2} Jhat J^{-1/2}; its density
-    exists for m >= p and n - m >= p, which the constructor checks.
+    The law of the complex-form W = J^{-1/2} Jhat J^{-1/2} when the
+    m-by-n compressor Phi has a law invariant under right multiplication
+    by a unitary matrix, as both ``randcomp.FAMILIES`` do, and the noise
+    enters before compression.  Real gaussian or +-1 entries, random
+    sensor subsets and partial DFTs are outside that class; no law is
+    claimed for them.  The density exists for m >= p and n - m >= p,
+    which the constructor checks.
     """
 
     p: int
@@ -1092,7 +1097,9 @@ def crb_ratio_law(n: int, m: int, p: int) -> BetaLaw:
     ``fisher.fim`` and ``fisher.crb`` compute.  The textbook
     real-parameter information 2 Re(G^H G) / sigma2 (Kay, Vol. I) gives
     the same ratio when p = 1; for p > 1 its ratio does not follow this
-    law.
+    law.  Like :class:`MatrixBetaLaw`, it needs a compressor whose law
+    is invariant under right multiplication by a unitary matrix (both
+    ``randcomp.FAMILIES``) and noise added before compression.
     """
     _check_dims(n, m, p)
     if not p < m:
@@ -1105,7 +1112,10 @@ def crb_ratio_law(n: int, m: int, p: int) -> BetaLaw:
 def kl_ratio_law(n: int, m: int) -> BetaLaw:
     """Law of (KL after) / (KL before) for scalar noise covariance.
 
-    Beta(m, n - m); valid for 1 <= m < n, whatever the parameter count.
+    Beta(m, n - m); valid for 1 <= m < n, whatever the parameter count,
+    for a compressor whose law is invariant under right multiplication
+    by a unitary matrix (both ``randcomp.FAMILIES``; see
+    :class:`MatrixBetaLaw`) and noise added before compression.
     """
     _check_dims(n, m)
     if not 1 <= m < n:

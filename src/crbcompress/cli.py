@@ -488,9 +488,10 @@ def _fig1(args, record: dict):
         seed=args.seed,
         histogram_bins=args.histogram_bins,
     )
+    # the figure draws the law, so a shape without one fails before the campaign
+    law = betalaw.crb_ratio_law(n, m, config.model.p)
     summary = mcharness.run(config)
     hist = summary.histograms["crb_ratio"]
-    law = betalaw.crb_ratio_law(n, m, summary.p)
     lo, hi = float(hist.edges[0]), float(hist.edges[-1])
     xs = np.linspace(lo, hi, 512)
     pdf = np.asarray(betalaw.beta_pdf(law, np.clip(xs, 0.0, 1.0)))

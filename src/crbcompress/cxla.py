@@ -6,12 +6,14 @@ Hermitian inverse square roots, all on plain ``numpy`` arrays in
 verdict (PD_TOL) of the package is made here.  A full-rank basis costs
 one QR: its triangular factor R has the singular values of the input,
 so R alone decides the rank verdict.  Coordinates in the column space
-of B and the residual of A against it cost one R-only QR of [B | A]:
-the leading block R11 decides the verdict, the block R12 beside it is
-Q^H A and the block below R12 is the triangular factor of the
-residual, so Q is never formed.  A rank verdict is first a shifted
+of B cost one R-only QR of [B | A]: the leading block R11 decides the
+verdict and the block R12 beside it is Q^H A, so Q is never formed.
+The residual of a matrix's last column against its other columns is
+the last diagonal entry of its R-only QR, and the whole R decides
+whether the Gram matrix R^H R is singular by the PD_TOL rule of
+:func:`hermitian_inv_sqrt`.  Both verdicts on R are first a shifted
 Cholesky certificate on R^H R, which proves a singular value ratio far
-above RANK_TOL without computing one; only when it fails do the
+above either floor without computing one; only when it fails do the
 singular values of R decide.  Routines that produce Hermitian matrices
 re-symmetrize the result so downstream ``eigh`` calls never see
 accumulated asymmetry.
@@ -90,24 +92,42 @@ def orthonormal_columns(m) -> np.ndarray:
     return q
 
 
-def coordinates_and_residual(basis: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """The columns of R beside ``basis`` in one R-only QR of [basis | a].
+def coordinates(basis: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Coordinates Q^H a of ``a``'s columns, Q an orthonormal basis of ``basis``'s columns.
 
-    ``basis`` is n-by-m (n >= m, else BadShape) and ``a`` n-by-k, both
-    finite complex128 arrays.  The leading m-by-m block R11 is the R of
-    ``basis`` alone, so it gives the rank verdict of
-    :func:`orthonormal_columns`: the shifted Cholesky certificate, then
-    its singular values if that fails (RankDeficient, same message; none
-    for a basis with no columns).  Rows :m of the result are Q^H a, Q an
-    orthonormal basis of the columns of ``basis``; the rows below are the
-    triangular factor of a's residual (I - Q Q^H) a, with its norm.
+    ``basis`` is n-by-m (1 <= m <= n, else BadShape for m > n) and ``a``
+    n-by-k, both finite complex128 arrays.  One R-only QR of
+    [basis | a] gives the result as the m-by-k block R12.  Its leading
+    m-by-m block R11 is the R of ``basis`` alone, so it gives the rank
+    verdict of :func:`orthonormal_columns`: the shifted Cholesky
+    certificate, then its singular values if that fails (RankDeficient,
+    same message).
     """
     _check_tall(basis)
     m = basis.shape[1]
     r = np.linalg.qr(np.hstack([basis, a]), mode="r")
-    if m:
-        _check_full_rank(r[:m, :m], basis.shape)
-    return r[:, m:]
+    _check_full_rank(r[:m, :m], basis.shape)
+    return r[:m, m:]
+
+
+def last_column_residual_sq(a: np.ndarray) -> float:
+    """Squared norm of the residual of ``a``'s last column against the span of its other columns.
+
+    ``a`` is an n-by-p finite complex128 array (p <= n, else BadShape).
+    The residual's norm is the last diagonal entry of the R of one
+    R-only QR of ``a``.  That R also gives the verdict: the Gram matrix
+    a^H a = R^H R is singular, and RankDeficient is raised, when its
+    smallest eigenvalue is at or below PD_TOL times its largest, the
+    rule :func:`hermitian_inv_sqrt` applies to the Gram matrix itself.
+    On R that reads sigma_min^2 <= PD_TOL sigma_max^2, decided by the
+    same certificate and singular values as the rank verdict; a residual
+    whose square underflows to 0 is refused with it.
+    """
+    _check_tall(a)
+    r = np.linalg.qr(a, mode="r")
+    _check_full_rank(r, a.shape, gram=True)
+    residual = r[-1:, -1:]
+    return float(np.real(np.vdot(residual, residual)))
 
 
 def _check_tall(m: np.ndarray) -> None:
@@ -115,8 +135,15 @@ def _check_tall(m: np.ndarray) -> None:
         raise BadShape(f"matrix of shape {m.shape} has fewer rows than columns")
 
 
-def _check_full_rank(r: np.ndarray, shape: tuple) -> None:
+def _check_full_rank(r: np.ndarray, shape: tuple, gram: bool = False) -> None:
     """RankDeficient unless the square triangular factor ``r`` of a ``shape`` matrix has full rank.
+
+    Full rank means sigma_min > RANK_TOL sigma_max for a basis.  With
+    ``gram`` it means that the Gram matrix r^H r is positive definite by
+    the rule of :func:`hermitian_inv_sqrt`: its eigenvalues, the squares
+    sigma^2, have sigma_min^2 > PD_TOL sigma_max^2 (a singular value
+    ratio above 1e-6), and sigma_max^2 neither underflows to 0 nor
+    overflows.
 
     A certificate decides first.  With r m-by-m, s2 = ||r||_F^2 and
     delta = tau s2 (tau = _CERT_SHIFT), a Cholesky factorization of
@@ -130,13 +157,13 @@ def _check_full_rank(r: np.ndarray, shape: tuple) -> None:
     5e-10 s2, so tau = 1e-7 sits 200 times above it, and success gives
     lambda_min(r^H r) >= delta - ||E||_2 >= 0.99 tau s2 >= 0.99 tau
     sigma_max^2.  Hence sigma_min / sigma_max >= sqrt(tau / 2), about
-    2.2e-4: far above RANK_TOL, where the SVD accepts as well.  The bound
+    2.2e-4: far above either floor, where the SVD accepts as well.  The bound
     holds while s2 lies in _CERT_RANGE, away from underflow and overflow.
     The certificate feeds no number, so only the cost of the verdict
     changes.
 
     When it fails (a ratio below about sqrt(tau), or s2 outside the
-    range), the singular values of ``r`` decide against RANK_TOL and
+    range), the singular values of ``r``, or their squares, decide and
     give the message.
     """
     s2 = np.vdot(r, r).real
@@ -150,7 +177,9 @@ def _check_full_rank(r: np.ndarray, shape: tuple) -> None:
         except np.linalg.LinAlgError:
             pass
     s = np.linalg.svd(r, compute_uv=False)
-    if s[0] == 0.0 or s[-1] <= RANK_TOL * s[0]:
+    with np.errstate(over="ignore"):
+        e, tol = (s * s, PD_TOL) if gram else (s, RANK_TOL)
+    if e[0] == 0.0 or e[-1] <= tol * e[0]:
         raise RankDeficient(
             f"matrix of shape {shape} is rank deficient "
             f"(smallest/largest singular value = {s[-1]:.3e}/{s[0]:.3e})"

@@ -69,9 +69,9 @@ class NotPositiveDefinite(CrbCompressError):
 class SingularFim(CrbCompressError):
     """Fisher information is singular for the requested parameter.
 
-    ``fisher.crb`` raises it when the parameter's Jacobian column lies in
-    the span of the others (to ``fisher.SINGULAR_REL_TOL``) or the other
-    columns are rank deficient: J has no inverse, so there is no bound.
+    ``fisher.crb`` raises it when the smallest eigenvalue of J is at or
+    below ``cxla.PD_TOL`` times the largest: J has no inverse, so there
+    is no bound.
     """
 
 

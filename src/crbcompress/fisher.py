@@ -14,17 +14,17 @@ m-by-p matrix with the same J, the same bounds and the same real form
 as the n-by-p projection Q Q^H G.  The KL divergence between two mean
 vectors is the same computation for the single column x1 - x2.
 
-One QR gives every projection and every residual here: ``cxla``'s
-R-only QR of [B | A], which never forms Q.  With B = Phi^H and A = G
-(or x1 - x2) it gives the coordinates Q^H A of ``compressed_fim`` and
-``compressed_kl``; with B the other columns of G and A column i it
-gives the residual of ``crb``.  Its leading block decides the rank
-verdict (``cxla.RANK_TOL``) each time, through a shifted Cholesky
-certificate and, only when that fails, its singular values: a
-compressor without full row rank raises RankDeficient, and other
-columns without full column rank make J singular, which raises
-SingularFim.  Arbitrary Jacobians enter
-through ``fim``, ``compressed_fim`` and ``crb``.
+One R-only QR in ``cxla``, which never forms Q, gives every projection
+and every residual here.  The QR of [Phi^H | A], with A = G or
+x1 - x2, gives the coordinates Q^H A of ``compressed_fim`` and
+``compressed_kl``; its leading block decides the rank verdict
+(``cxla.RANK_TOL``), and a compressor without full row rank raises
+RankDeficient.  The QR of G with column i moved last gives the residual
+of ``crb``, and its whole R decides whether J is singular by the
+``cxla.PD_TOL`` rule that ``normalized_fim`` applies to J itself; a
+singular J raises SingularFim.  Both verdicts are a shifted Cholesky
+certificate and, only when that fails, singular values.  Arbitrary
+Jacobians enter through ``fim``, ``compressed_fim`` and ``crb``.
 ``normalized_fim`` alone forms W = J^{-1/2} Jhat J^{-1/2}, for each
 Monte Carlo trial and, on the real-form pair (Re J, Re Jhat) of the
 stacked real Jacobian [Re G; Im G], for the CLI's ellipses.
@@ -40,10 +40,6 @@ import numpy as np
 
 from . import cxla
 from .errors import BadShape, RankDeficient, SingularFim, is_int, is_real
-
-# A parameter counts as unidentifiable when the residual of its Jacobian
-# column against the others falls below this fraction of its norm.
-SINGULAR_REL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -106,31 +102,22 @@ def crb(info: FimResult, i: int) -> float:
 
     Equals sigma2 divided by the squared residual of Jacobian column i
     against the span of the remaining columns: the last diagonal entry
-    of the module's one R-only QR, of [others | column i].  J is
-    singular, and SingularFim is raised, when the other columns are rank
-    deficient (the QR's verdict) or the residual's squared norm is at
-    most SINGULAR_REL_TOL times the column's.  The bound is that of the
-    complex-form information G^H G / sigma2 (see ``fim``), whose
-    before/after ratio follows ``betalaw.crb_ratio_law``; the textbook
-    real-parameter form 2 Re(G^H G) / sigma2 gives the same ratio when
-    p = 1.
+    of one R-only QR of [others | column i].  SingularFim is raised when
+    J is singular, that is when its smallest eigenvalue is at or below
+    ``cxla.PD_TOL`` times its largest, the rule ``normalized_fim``
+    applies; it is read off the same R, since J = R^H R / sigma2.  The
+    bound is that of the complex-form information G^H G / sigma2 (see
+    ``fim``), whose before/after ratio follows
+    ``betalaw.crb_ratio_law``; the textbook real-parameter form
+    2 Re(G^H G) / sigma2 gives the same ratio when p = 1.
     """
     if not (is_int(i) and 0 <= i < info.p):
         raise BadShape(f"parameter index must be an int in [0, {info.p}), got {i!r}")
-    g = info.G[:, i]
-    others = np.delete(info.G, i, axis=1)
-    norm_sq = float(np.real(np.vdot(g, g)))
+    others = [k for k in range(info.p) if k != i]
     try:
-        r = cxla.coordinates_and_residual(others, g[:, None])
+        res_sq = cxla.last_column_residual_sq(info.G[:, others + [i]])
     except RankDeficient as exc:
-        raise SingularFim(f"parameter {i} is unidentifiable: J is singular, its other columns' {exc}") from exc
-    residual = r[others.shape[1] :]
-    res_sq = float(np.real(np.vdot(residual, residual)))
-    if res_sq <= SINGULAR_REL_TOL * norm_sq or norm_sq == 0.0:
-        raise SingularFim(
-            f"parameter {i} is unidentifiable: residual fraction "
-            f"{res_sq / norm_sq if norm_sq else 0.0:.3e}"
-        )
+        raise SingularFim(f"parameter {i} is unidentifiable: J is singular, its Jacobian {exc}") from exc
     return info.sigma2 / res_sq
 
 
@@ -140,7 +127,7 @@ def _project_onto_rows(a: np.ndarray, phi: np.ndarray) -> np.ndarray:
     ``phi`` is validated by the caller; RankDeficient unless it has full row rank.
     """
     try:
-        return cxla.coordinates_and_residual(phi.conj().T, a)[: phi.shape[0]]
+        return cxla.coordinates(phi.conj().T, a)
     except RankDeficient as exc:
         raise RankDeficient(f"phi does not have full row rank: {exc}") from exc
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadShape, BadSpec, is_int, is_real
+from .errors import BadShape, BadSpec, is_int, is_real, is_real_array
 
 
 def _reduce_angle(theta: float) -> float:
@@ -41,8 +41,7 @@ class UlaScenario:
     sources: tuple[Source, ...]
 
     def __post_init__(self):
-        if not (is_int(self.n) and self.n >= 2):
-            raise BadSpec(f"array needs an int n >= 2 sensors, got n={self.n!r}")
+        _check_sensors(self.n)
         if len(self.sources) == 0:
             raise BadSpec("scenario needs at least one source")
         for s in self.sources:
@@ -58,12 +57,19 @@ class UlaScenario:
         return np.array([s.theta for s in self.sources], dtype=np.float64)
 
 
+def _check_sensors(n) -> None:
+    if not (is_int(n) and n >= 2):
+        raise BadSpec(f"array needs an int n >= 2 sensors, got n={n!r}")
+
+
 def two_source_half_rayleigh(n: int) -> UlaScenario:
     """Two unit-amplitude, zero-phase sources at angles 0 and pi/n.
 
     The second source sits half a Rayleigh resolution cell (2*pi/n)
-    away from the first, the classic hard case for a line array.
+    away from the first, the classic hard case for a line array.  An n
+    that is not an int >= 2 is a BadSpec, as for ``UlaScenario``.
     """
+    _check_sensors(n)
     return UlaScenario(n=n, sources=(Source(0.0), Source(math.pi / n)))
 
 
@@ -116,11 +122,12 @@ class UlaModel:
 
     def _at(self, theta) -> UlaScenario:
         """The scenario with its angles replaced by ``theta``."""
-        theta = np.asarray(theta, dtype=np.float64).reshape(-1)
+        theta = np.asarray(theta).reshape(-1)
+        # a complex theta is not made real, nor a bool, string or object one made a number
+        if not (is_real_array(theta) and np.isfinite(theta).all()):
+            raise BadShape(f"theta must hold finite real numbers, got {theta!r}")
         if theta.shape[0] != self.p:
             raise BadShape(f"theta must have {self.p} entries, got {theta.shape[0]}")
-        if not np.all(np.isfinite(theta)):
-            raise BadShape("theta contains non-finite entries")
         sources = tuple(
             Source(float(t), s.amplitude, s.phase)
             for t, s in zip(theta, self._scenario.sources)

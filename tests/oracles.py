@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from crbcompress.cxla import RANK_TOL
+from crbcompress.cxla import PD_TOL, RANK_TOL
 from crbcompress.errors import BadSpec, DomainError, NotPositiveDefinite, RankDeficient, TooFewSamples
 from crbcompress.mcharness import KS_CRITICAL, KsResult
 from crbcompress.sigmodel import UlaModel
@@ -37,15 +37,20 @@ def explicit_basis_projection(a: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return q @ (q.conj().T @ a)
 
 
-def svd_full_rank_verdict(r: np.ndarray, shape: tuple) -> None:
-    """The rank verdict from the singular values of ``r`` alone, with no certificate.
+def svd_full_rank_verdict(r: np.ndarray, shape: tuple, gram: bool = False) -> None:
+    """The full-rank verdict from the singular values of ``r`` alone, with no certificate.
 
     RankDeficient, with ``cxla``'s message, when the smallest singular
     value of the square triangular factor ``r`` of a ``shape`` matrix is
-    at or below RANK_TOL times the largest.
+    at or below RANK_TOL times the largest; with ``gram``, when the
+    eigenvalues of the Gram matrix r^H r, the squared singular values,
+    fail the PD_TOL rule: the smallest at or below PD_TOL times the
+    largest, or the largest 0.
     """
     s = np.linalg.svd(r, compute_uv=False)
-    if s[0] == 0.0 or s[-1] <= RANK_TOL * s[0]:
+    with np.errstate(over="ignore"):
+        lo, hi, floor = (s[-1] ** 2, s[0] ** 2, PD_TOL) if gram else (s[-1], s[0], RANK_TOL)
+    if hi == 0.0 or lo <= floor * hi:
         raise RankDeficient(
             f"matrix of shape {shape} is rank deficient "
             f"(smallest/largest singular value = {s[-1]:.3e}/{s[0]:.3e})"

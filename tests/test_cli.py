@@ -385,6 +385,27 @@ def test_figures_fig1_small_campaign(tmp_path, capsys):
     assert (out / "fig1_histogram.csv").exists()
 
 
+@pytest.mark.parametrize("which", ["fig1", "all"])
+def test_figures_without_a_law_fail_before_the_campaign(tmp_path, capsys, monkeypatch, which):
+    # at m = n there is no beta law to draw, so no trial may run first
+    def no_campaign(config):
+        raise AssertionError("the campaign ran")
+
+    monkeypatch.setattr(cli.mcharness, "run", no_campaign)
+    out = tmp_path / "f"
+    assert cli.main(["figures", "--which", which, "--n", "16", "--m", "16", "--trials", "20000",
+                     "--out", str(out)]) == 1
+    assert "m < n" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", [["fisher"], ["simulate", "--m", "6", "--trials", "20"], ["ellipse", "--m", "6"]])
+def test_too_few_sensors_is_a_config_error(tmp_path, capsys, command):
+    # n = 0 used to end in a ZeroDivisionError traceback
+    assert cli.main(command + ["--n", "0", "--out", str(tmp_path / "o")]) == 1
+    assert "array needs an int n >= 2 sensors" in capsys.readouterr().err
+
+
 def test_figures_fig2(tmp_path, capsys):
     out = tmp_path / "figs2"
     assert cli.main(["figures", "--which", "fig2", "--n", "16", "--m", "6",

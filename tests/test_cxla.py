@@ -91,10 +91,10 @@ def test_orthonormal_columns_verdict_reads_singular_values_not_the_r_diagonal(mo
     assert calls == [1]
 
 
-def _verdict(check, r, shape):
-    """None if ``check`` accepts ``r``, else the RankDeficient message."""
+def _verdict(check, r, shape, gram):
+    """None if ``check`` accepts ``r``, as a basis or as a Gram factor, else the RankDeficient message."""
     try:
-        check(r, shape)
+        check(r, shape, gram=gram)
     except RankDeficient as exc:
         return str(exc)
     return None
@@ -106,21 +106,24 @@ def test_rank_verdict_and_message_equal_the_svd_oracle(k, monkeypatch):
     # R of a (k + 3)-by-k matrix with geometric singular values from 1 down
     # to each ratio, also at scales where the Gram matrix underflows (at
     # 1e-160 its rounding alone would certify some rank-deficient R) or
-    # overflows, which must not warn either
-    rng = np.random.default_rng(23)
+    # overflows, which must not warn either; one certificate serves the
+    # rank floor of a basis and the PD_TOL floor of a Gram matrix r^H r
     calls = _count_svd_calls(monkeypatch)
     shape = (k + 3, k)
-    checked = 0
-    for ratio in np.logspace(-2, -13, 45):
-        left = np.linalg.qr(_random_complex(rng, shape))[0]
-        right = np.linalg.qr(_random_complex(rng, (k, k)))[0]
-        r = np.linalg.qr((left * np.geomspace(1.0, ratio, k)) @ right.conj().T, mode="r")
-        for scale in (1e-200, 1e-160, 1e-120, 1e-20, 1.0, 1e20, 1e120, 1e150, 1e160):
-            assert _verdict(cxla._check_full_rank, r * scale, shape) == _verdict(svd_full_rank_verdict, r * scale, shape)
-            checked += 1
-    # the oracle ran one SVD per case; the certificate spared some, not all
-    fallbacks = calls[0] - checked
-    assert 0 < fallbacks < checked
+    for gram in (False, True):
+        rng = np.random.default_rng(23)
+        calls[0], checked = 0, 0
+        for ratio in np.logspace(-2, -13, 45):
+            left = np.linalg.qr(_random_complex(rng, shape))[0]
+            right = np.linalg.qr(_random_complex(rng, (k, k)))[0]
+            r = np.linalg.qr((left * np.geomspace(1.0, ratio, k)) @ right.conj().T, mode="r")
+            for scale in (1e-200, 1e-160, 1e-120, 1e-20, 1.0, 1e20, 1e120, 1e150, 1e160):
+                expected = _verdict(svd_full_rank_verdict, r * scale, shape, gram)
+                assert _verdict(cxla._check_full_rank, r * scale, shape, gram) == expected
+                checked += 1
+        # the oracle ran one SVD per case; the certificate spared some, not all
+        fallbacks = calls[0] - checked
+        assert 0 < fallbacks < checked
 
 
 @pytest.mark.parametrize("n, m, draws", [(32, 16, 20), (128, 64, 5)])
@@ -149,7 +152,7 @@ def test_compressed_fim_shares_the_verdict():
     with pytest.raises(RankDeficient, match="phi does not have full row rank"):
         compressed_fim(g, basis.conj().T)
     with pytest.raises(RankDeficient):
-        cxla.coordinates_and_residual(basis, g)
+        cxla.coordinates(basis, g)
     basis = _frame_times_unit_triangle(rng, 24)
     assert compressed_fim(g, basis.conj().T).G.shape == (24, 2)
 
@@ -162,9 +165,37 @@ def test_coordinates_are_q_conjugate_transpose_a(shape, k):
     basis = _random_complex(rng, shape)
     a = _random_complex(rng, (shape[0], k))
     q = np.linalg.qr(basis)[0]
-    y = cxla.coordinates_and_residual(basis, a)[: shape[1]]
+    y = cxla.coordinates(basis, a)
     assert y.shape == (shape[1], k)
     np.testing.assert_allclose(y, q.conj().T @ a, rtol=0.0, atol=1e-12 * np.abs(a).max() * shape[0])
+
+
+@pytest.mark.parametrize("shape", [(8, 1), (8, 3), (32, 16), (128, 2), (5, 5)])
+def test_last_column_residual_is_the_projection_residual(shape):
+    # against numpy's explicit Q of the other columns (the column's own norm when there are none)
+    rng = np.random.default_rng(24)
+    a = _random_complex(rng, shape)
+    last = a[:, -1]
+    if shape[1] > 1:
+        q = np.linalg.qr(a[:, :-1])[0]
+        last = last - q @ (q.conj().T @ last)
+    exact = np.vdot(last, last).real
+    assert abs(cxla.last_column_residual_sq(a) - exact) <= 1e-12 * exact
+
+
+def test_last_column_residual_refuses_a_singular_gram_matrix():
+    # the whole R decides: a zero column, or a repeated column anywhere, not only the last
+    rng = np.random.default_rng(25)
+    a = _random_complex(rng, (8, 3))
+    for singular in (np.column_stack([a[:, :2], 0.0 * a[:, 2]]), np.column_stack([a[:, 0], a[:, 0], a[:, 2]])):
+        with pytest.raises(RankDeficient, match=r"matrix of shape \(8, 3\) is rank deficient"):
+            cxla.last_column_residual_sq(singular)
+    with pytest.raises(RankDeficient):
+        cxla.last_column_residual_sq(np.zeros((4, 1), dtype=complex))
+    # well conditioned, but its squares underflow to 0, as do J's eigenvalues
+    with pytest.raises(RankDeficient):
+        cxla.last_column_residual_sq(1e-200 * a)
+    assert cxla.last_column_residual_sq(1e-150 * a) > 0.0
 
 
 @pytest.mark.parametrize("shape", [(8, 3), (32, 16), (128, 64), (5, 5)])
@@ -226,7 +257,9 @@ def test_shape_validation():
     with pytest.raises(BadShape):
         cxla.orthonormal_columns(np.ones((2, 3)))
     with pytest.raises(BadShape):
-        cxla.coordinates_and_residual(np.ones((2, 3)), np.ones((2, 1)))
+        cxla.coordinates(np.ones((2, 3)), np.ones((2, 1)))
+    with pytest.raises(BadShape):
+        cxla.last_column_residual_sq(np.ones((2, 3), dtype=complex))
 
 
 @pytest.mark.parametrize(
@@ -248,8 +281,8 @@ def test_non_finite_real_or_imaginary_part_is_rejected(entry):
 def _verdicts(tree: ast.AST):
     """(line, what) of every rank or definiteness decision: an inverse,
     singular value, Cholesky or eigendecomposition routine of np.linalg,
-    an R-only QR, a verdict tolerance, or LinAlgError, whose catch is a
-    verdict."""
+    an R-only QR, a verdict tolerance (the old SINGULAR_REL_TOL of fisher
+    included), or LinAlgError, whose catch is a verdict."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and node.attr in {"svd", "inv", "pinv", "matrix_rank", "cholesky", "eigh"}:
             if isinstance(node.value, ast.Attribute) and node.value.attr == "linalg":
@@ -258,7 +291,7 @@ def _verdicts(tree: ast.AST):
             if isinstance(node.value, ast.Constant) and node.value.value == "r":
                 yield node.value.lineno, 'mode="r"'
         name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
-        if name in {"RANK_TOL", "PD_TOL", "LinAlgError"}:
+        if name in {"RANK_TOL", "PD_TOL", "SINGULAR_REL_TOL", "LinAlgError"}:
             yield node.lineno, name
 
 
@@ -271,6 +304,7 @@ def test_only_cxla_decides_rank_and_definiteness():
     assert {name: lines for name, lines in found.items() if lines} == {}
     # the guard sees each spelling
     probe = ("np.linalg.inv(a)\nnp.linalg.qr(a, mode='r')\ncxla.PD_TOL\nnp.linalg.qr(a)\nnp.linalg.eigvalsh(a)\n"
-             "np.linalg.cholesky(a)\nnp.linalg.eigh(a)\ntry:\n    a\nexcept np.linalg.LinAlgError:\n    pass")
+             "np.linalg.cholesky(a)\nnp.linalg.eigh(a)\ntry:\n    a\nexcept np.linalg.LinAlgError:\n    pass\n"
+             "SINGULAR_REL_TOL = 1e-12")
     assert [what for _, what in sorted(_verdicts(ast.parse(probe)))] == [
-        "linalg.inv", 'mode="r"', "PD_TOL", "linalg.cholesky", "linalg.eigh", "LinAlgError"]
+        "linalg.inv", 'mode="r"', "PD_TOL", "linalg.cholesky", "linalg.eigh", "LinAlgError", "SINGULAR_REL_TOL"]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from crbcompress import cxla, fisher
-from crbcompress.errors import BadShape, RankDeficient, SingularFim
+from crbcompress.errors import BadShape, NotPositiveDefinite, RankDeficient, SingularFim
 from crbcompress.fisher import (
     compressed_fim,
     compressed_kl,
@@ -91,7 +91,7 @@ def test_crb_matches_matrix_inverse():
 
 
 def test_crb_single_parameter():
-    # with no other columns the QR of the column alone gives its norm, and no rank verdict is made
+    # with no other columns the QR of the column alone gives its norm, and only a zero column is singular
     rng = np.random.default_rng(34)
     g = _random_complex(rng, (7, 1))
     info = fim(g, 2.0)
@@ -167,6 +167,58 @@ def test_crb_near_singular_threshold():
         crb(bad, 1)
     with pytest.raises(BadShape):
         crb(ok, 2)
+
+
+def _orthonormal_pair(rng, n):
+    """Unit vectors g and e with e orthogonal to g."""
+    q = np.linalg.qr(_random_complex(rng, (n, 2)))[0]
+    return q[:, 0], q[:, 1]
+
+
+def _refuses(call, error) -> bool:
+    try:
+        call()
+    except error:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("form", ["nearly parallel", "unequal scales"])
+def test_crb_refuses_j_exactly_when_its_inverse_square_root_does(form):
+    # one singularity rule, lambda_min(J) <= PD_TOL lambda_max(J): for
+    # G = [g, g + eps e] the eigenvalue ratio of J is about eps^2 / 4, for
+    # G = [g, s e] it is s^2; points within 1e-3 relative of the floor are
+    # skipped, as eigh of the formed J resolves the ratio only to about
+    # 1e-4 relative there
+    rng = np.random.default_rng(48)
+    checked = 0
+    for x in np.logspace(-4.0, -8.0, 81):
+        g, e = _orthonormal_pair(rng, 16)
+        if form == "nearly parallel":
+            G, trace = np.column_stack([g, g + x * e]), 2.0 + x * x
+            ratio = x * x / (0.5 * (trace + np.sqrt(trace * trace - 4.0 * x * x))) ** 2
+        else:
+            G, ratio = np.column_stack([g, x * e]), x * x
+        if abs(ratio / cxla.PD_TOL - 1.0) < 1e-3:
+            continue
+        info = fim(G)
+        singular = _refuses(lambda: cxla.hermitian_inv_sqrt(info.J), NotPositiveDefinite)
+        assert singular == (ratio <= cxla.PD_TOL)
+        for i in range(2):
+            assert _refuses(lambda: crb(info, i), SingularFim) == singular, (x, i)
+        checked += 1
+    assert checked >= 79
+
+
+def test_crb_refuses_a_jacobian_whose_information_underflows():
+    # J = G^H G rounds to 0, so hermitian_inv_sqrt refuses it; crb must
+    # refuse it too, not divide by a residual whose square is 0
+    info = fim(1e-200 * _random_complex(np.random.default_rng(49), (8, 2)))
+    with pytest.raises(NotPositiveDefinite):
+        cxla.hermitian_inv_sqrt(info.J)
+    for i in range(2):
+        with pytest.raises(SingularFim, match=f"parameter {i} is unidentifiable"):
+            crb(info, i)
 
 
 @pytest.mark.parametrize("index", [True, False, 1.0, np.float64(0.0)])

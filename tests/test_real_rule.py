@@ -50,6 +50,9 @@ POINTS = [
     ("mcharness.histogram", BadShape, lambda x: mcharness.histogram(np.resize(x, 200))),
     ("mcharness.ks_one_sample", BadShape,
      lambda x: mcharness.ks_one_sample(np.resize(x, 200), lambda s: betalaw.beta_cdf(LAW, s))),
+    # a one-source array, so the point is its one angle
+    ("sigmodel.UlaModel.mean", BadShape, lambda x: sigmodel.UlaModel(_scenario(theta=0.0)).mean(x)),
+    ("sigmodel.UlaModel.jacobian", BadShape, lambda x: sigmodel.UlaModel(_scenario(theta=0.0)).jacobian(x)),
 ]
 
 

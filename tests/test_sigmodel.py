@@ -113,3 +113,27 @@ def test_theta_validation():
         model.jacobian([0.1])
     with pytest.raises(BadSpec):
         finite_diff_jacobian(model, [0.0, 0.1], h=0.0)
+
+
+@pytest.mark.parametrize("theta", [
+    [True, False], np.array([True, False]), ["0.1", "0.2"], np.array(["0.1", "0.2"]),
+    np.array([0.1, 0.2], dtype=object), [0.1 + 0.5j, 0.2], np.array([0.1 + 0j, 0.2 + 0j]),
+])
+def test_theta_must_hold_real_numbers(theta):
+    # each used to be cast to float64: a complex part dropped with only a
+    # ComplexWarning, a bool read as 0 or 1, a numeric string parsed
+    model = UlaModel(two_source_half_rayleigh(16))
+    for evaluate in (model.mean, model.jacobian):
+        with pytest.raises(BadShape, match="real"):
+            evaluate(theta)
+    model.mean(np.array([1, 2]))  # ints are real angles
+
+
+@pytest.mark.parametrize("n", [0, 1, -3, True, 16.0, "16", None])
+def test_half_rayleigh_checks_n_before_dividing_by_it(n):
+    # 0 used to raise ZeroDivisionError and a str or None TypeError
+    with pytest.raises(BadSpec, match="array needs an int n >= 2 sensors") as error:
+        two_source_half_rayleigh(n)
+    with pytest.raises(BadSpec) as scenario_error:
+        UlaScenario(n=n, sources=(Source(0.0),))
+    assert str(error.value) == str(scenario_error.value)
