@@ -911,10 +911,9 @@ def _quantile_scalar(law: BetaLaw, k: _Shapes, q: float) -> float:
 
 def _real_points(x, what: str) -> np.ndarray:
     """x as a float64 array, or DomainError unless it holds real numbers (a complex x is not made real)."""
-    arr = np.asarray(x)
-    if not is_real_array(arr):
-        raise DomainError(f"{what} argument must be real, got {arr.dtype} values")
-    return arr.astype(np.float64, copy=False)
+    if not is_real_array(x):
+        raise DomainError(f"{what} argument must hold real numbers, not bools, complex numbers or strings")
+    return np.asarray(x, dtype=np.float64)
 
 
 def _real_point(x, what: str) -> float:

@@ -5,9 +5,35 @@ Hermitian inverse square roots, all on plain ``numpy`` arrays in
 ``complex128``.  Every rank verdict (RANK_TOL) and every definiteness
 verdict (PD_TOL) of the package is made here.  A full-rank basis costs
 one QR: its triangular factor R has the singular values of the input,
-so R alone decides the rank verdict.  Coordinates in the column space
-of B cost one R-only QR of [B | A]: the leading block R11 decides the
-verdict and the block R12 beside it is Q^H A, so Q is never formed.
+so R alone decides the rank verdict.
+
+Coordinates in the column space of B are taken in the orthonormal
+basis Q whose R has a positive real diagonal, by one of two routes
+(:func:`coordinates`).  The Gram route forms M = [B | A]^H [B | A],
+certifies B by a Cholesky factorization of B^H B shifted down by
+tau_G ||B||_F^2, and reads Q^H A off the Cholesky factor of M, which is
+the R of [B | A]: level-3 work, where the QR's reflector updates are
+level-2 calls that each pay BLAS thread synchronisation.  Otherwise one
+R-only QR of [B | A] runs: its leading block R11 decides the verdict
+and the block R12 beside it is Q^H A once its rows take the signs of
+R11's diagonal, so Q is never formed.
+
+tau_G = _GRAM_SHIFT = 1e-4 is set from gaussian draws.  A certified B
+has a singular value ratio of at least sqrt(tau_G / 2), about 7.1e-3,
+so every ratio near RANK_TOL = 1e-10 is still decided by the QR.  It
+bounds the kappa(B)^2 u error of a Gram-based factor: against the QR
+route, Jhat and the CRB ratio moved at most 1.2e-15 and 1.7e-15
+relative at (n, m) = (128, 64), (128, 72), (64, 24), (32, 16) and
+(32, 12), and 1.4e-14 at (16, 15), gaussian and stiefel.  With the rank
+certificate's 1e-7 instead, draws up to kappa = 913 took the Gram route
+at (32, 32) and the CRB ratio moved up to 2.5e-13.  A larger shift
+refuses ordinary draws, because ||B||_F^2 sums m squared singular
+values: 1e-3 refused 27% of the draws at (128, 72) and all of them at
+(512, 256).  1e-4 certified every draw at those shapes and at (32, 12),
+(32, 16), (64, 24), (128, 64) and (1024, 512), 98% at (16, 15) and 4%
+at (32, 32), where the QR runs; from about (2048, 1024) on, a gaussian
+draw takes the QR route too.
+
 The residual of a matrix's last column against its other columns is
 the last diagonal entry of its R-only QR, and the whole R decides
 whether the Gram matrix R^H R is singular by the PD_TOL rule of
@@ -32,8 +58,10 @@ RANK_TOL = 1e-10
 PD_TOL = 1e-12
 # Relative diagonal shift tau of the rank certificate (see _check_full_rank).
 _CERT_SHIFT = 1e-7
-# The certificate is tried only while ||R||_F^2 lies in this range, where
-# underflow cannot outweigh the shift and no Gram entry can overflow.
+# Relative diagonal shift tau_G of the Gram route's certificate (see coordinates).
+_GRAM_SHIFT = 1e-4
+# A certificate is tried only while its squared Frobenius norms lie in this
+# range, where underflow cannot outweigh the shift and no Gram entry can overflow.
 _CERT_RANGE = (1e-250, 1e250)
 
 
@@ -93,21 +121,54 @@ def orthonormal_columns(m) -> np.ndarray:
 
 
 def coordinates(basis: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Coordinates Q^H a of ``a``'s columns, Q an orthonormal basis of ``basis``'s columns.
+    """Coordinates Q^H a of ``a``'s columns, Q the orthonormal basis of ``basis`` = Q R with R's diagonal positive.
 
     ``basis`` is n-by-m (1 <= m <= n, else BadShape for m > n) and ``a``
-    n-by-k, both finite complex128 arrays.  One R-only QR of
-    [basis | a] gives the result as the m-by-k block R12.  Its leading
-    m-by-m block R11 is the R of ``basis`` alone, so it gives the rank
+    n-by-k, both finite complex128 arrays.  Either route gives the same
+    result to rounding.
+
+    Gram route, taken when s2 = ||basis||_F^2 and ||a||_F^2 lie in
+    _CERT_RANGE, so that no entry of M = [basis | a]^H [basis | a] can
+    overflow or lose accuracy to underflow, and the certificate
+    succeeds.  The certificate is a Cholesky factorization of M's
+    leading block basis^H basis, shifted down by tau_G s2
+    (tau_G = _GRAM_SHIFT), that completes with finite pivots.  It proves
+    sigma_min / sigma_max >= sqrt(tau_G / 2) for ``basis`` by the proof
+    of :func:`_check_full_rank` with the Gram's inner dimension n in
+    place of m: the rounding is below 3 sqrt(2) gamma_{n+3} s2, under
+    5e-10 s2 for every n up to 10^6.  So the rank verdict would accept.
+    The Cholesky factor of M is then R^H for the R of
+    [basis | a], and its block below the leading m-by-m one is
+    (Q^H a)^H.  Adding ||a||_F^2 to M's trailing diagonal changes no
+    entry of that block, and lets the factorization complete when a lies
+    in the span of ``basis`` (always, at m = n).  To first order the
+    result is within about (n + m + k) u s2 / lambda_min(basis^H basis)
+    ||a||_F of the exact Q^H a: the kappa^2 u error of a Gram-based
+    factor (Yamamoto, Nakatsukasa, Yanagisawa and Fukaya, ETNA 44,
+    2015), where the certificate keeps s2 / lambda_min below
+    1 / (0.99 tau_G).
+
+    QR route, otherwise: one R-only QR of [basis | a].  Its leading
+    m-by-m block R11 is the R of ``basis`` alone and gives the rank
     verdict of :func:`orthonormal_columns`: the shifted Cholesky
     certificate, then its singular values if that fails (RankDeficient,
-    same message).
+    same message).  The block R12 beside it is Q^H a once each row is
+    multiplied by the sign of R11's real diagonal entry, which is exact.
     """
     _check_tall(basis)
     m = basis.shape[1]
-    r = np.linalg.qr(np.hstack([basis, a]), mode="r")
+    stacked = np.hstack([basis, a])
+    s2 = _norm_sq(basis)
+    a2 = _norm_sq(a)
+    if _in_cert_range(s2) and _in_cert_range(a2):
+        gram = stacked.conj().T @ stacked
+        if _shifted_cholesky_completes(gram[:m, :m].copy(), _GRAM_SHIFT * s2):
+            gram.reshape(-1)[m * (gram.shape[0] + 1) :: gram.shape[0] + 1] += a2
+            return np.linalg.cholesky(gram)[m:, :m].conj().T
+    r = np.linalg.qr(stacked, mode="r")
     _check_full_rank(r[:m, :m], basis.shape)
-    return r[:m, m:]
+    # LAPACK's R11 has a real diagonal of either sign; flip to the positive one
+    return r[:m, m:] * np.where(r.diagonal()[:m].real < 0.0, -1.0, 1.0)[:, None]
 
 
 def last_column_residual_sq(a: np.ndarray) -> float:
@@ -166,16 +227,9 @@ def _check_full_rank(r: np.ndarray, shape: tuple, gram: bool = False) -> None:
     range), the singular values of ``r``, or their squares, decide and
     give the message.
     """
-    s2 = np.vdot(r, r).real
-    if _CERT_RANGE[0] < s2 < _CERT_RANGE[1]:
-        g = r.conj().T @ r
-        g.reshape(-1)[:: g.shape[0] + 1] -= _CERT_SHIFT * s2
-        try:
-            # OpenBLAS passes a NaN pivot without an error; a finite diagonal rules it out
-            if np.isfinite(np.linalg.cholesky(g).diagonal()).all():
-                return
-        except np.linalg.LinAlgError:
-            pass
+    s2 = _norm_sq(r)
+    if _in_cert_range(s2) and _shifted_cholesky_completes(r.conj().T @ r, _CERT_SHIFT * s2):
+        return
     s = np.linalg.svd(r, compute_uv=False)
     with np.errstate(over="ignore"):
         e, tol = (s * s, PD_TOL) if gram else (s, RANK_TOL)
@@ -184,6 +238,26 @@ def _check_full_rank(r: np.ndarray, shape: tuple, gram: bool = False) -> None:
             f"matrix of shape {shape} is rank deficient "
             f"(smallest/largest singular value = {s[-1]:.3e}/{s[0]:.3e})"
         )
+
+
+def _norm_sq(x: np.ndarray) -> float:
+    """||x||_F^2, without copying a C- or Fortran-ordered ``x``."""
+    flat = x.ravel(order="K")
+    return np.vdot(flat, flat).real
+
+
+def _in_cert_range(s2: float) -> bool:
+    return _CERT_RANGE[0] < s2 < _CERT_RANGE[1]
+
+
+def _shifted_cholesky_completes(g: np.ndarray, delta: float) -> bool:
+    """Whether a Cholesky factorization of the Hermitian ``g`` - delta I completes with finite pivots; overwrites ``g``."""
+    g.reshape(-1)[:: g.shape[0] + 1] -= delta
+    try:
+        # OpenBLAS passes a NaN pivot without an error; a finite diagonal rules it out
+        return bool(np.isfinite(np.linalg.cholesky(g).diagonal()).all())
+    except np.linalg.LinAlgError:
+        return False
 
 
 def orthonormal_range(m) -> np.ndarray:

@@ -11,6 +11,8 @@ points and samples.
 
 import numbers
 
+import numpy as np
+
 
 def is_int(value) -> bool:
     """Whether ``value`` is an int that is not a bool: the rule for counts, indices, dimensions and seeds."""
@@ -28,12 +30,17 @@ def is_real(value) -> bool:
     return isinstance(value, float) or (isinstance(value, numbers.Real) and not isinstance(value, bool))
 
 
-def is_real_array(arr) -> bool:
-    """Whether the numpy array ``arr`` holds real numbers: ints or floats, not bools, complex or objects.
+def is_real_array(value) -> bool:
+    """Whether ``value`` holds real numbers: ints or floats, not bools, complex numbers, strings or objects.
 
-    The rule for points and samples, 0-d arrays included.
+    The rule for points and samples.  ``value`` is an array (0-d
+    included), a number, or a list or tuple of them, nested.  A list or
+    tuple is checked entry by entry before numpy promotes it, so the True
+    in [True, 0.3] is refused, not read as 1.0.
     """
-    return arr.dtype.kind in "iuf"
+    if isinstance(value, (list, tuple)):
+        return all(is_real(v) or is_real_array(v) for v in value)
+    return np.asarray(value).dtype.kind in "iuf"
 
 
 class CrbCompressError(Exception):

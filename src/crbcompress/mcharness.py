@@ -184,10 +184,9 @@ def _check_bins(bins) -> None:
 
 def _real_samples(samples, what: str) -> np.ndarray:
     """``samples`` flattened to float64, or BadShape unless they are finite real numbers (complex is not made real)."""
-    x = np.asarray(samples)
-    if not is_real_array(x):
-        raise BadShape(f"{what} samples must be real, got {x.dtype} values")
-    x = x.astype(np.float64, copy=False).ravel()
+    if not is_real_array(samples):
+        raise BadShape(f"{what} samples must be real numbers, not bools, complex numbers or strings")
+    x = np.asarray(samples, dtype=np.float64).ravel()
     if not np.isfinite(x).all():
         raise BadShape(f"{what} samples contain non-finite values")
     return x

@@ -122,9 +122,11 @@ class UlaModel:
 
     def _at(self, theta) -> UlaScenario:
         """The scenario with its angles replaced by ``theta``."""
-        theta = np.asarray(theta).reshape(-1)
         # a complex theta is not made real, nor a bool, string or object one made a number
-        if not (is_real_array(theta) and np.isfinite(theta).all()):
+        if not is_real_array(theta):
+            raise BadShape(f"theta must hold finite real numbers, got {theta!r}")
+        theta = np.asarray(theta, dtype=np.float64).reshape(-1)
+        if not np.isfinite(theta).all():
             raise BadShape(f"theta must hold finite real numbers, got {theta!r}")
         if theta.shape[0] != self.p:
             raise BadShape(f"theta must have {self.p} entries, got {theta.shape[0]}")

@@ -48,15 +48,15 @@ def test_orthonormal_columns_rank_deficient():
         cxla.orthonormal_columns(m)
 
 
-def _count_svd_calls(monkeypatch) -> list:
-    """Patch np.linalg.svd, as cxla sees it, to count its calls in the one-element list returned."""
-    calls, svd = [0], np.linalg.svd
+def _count_calls(monkeypatch, name="svd") -> list:
+    """Patch np.linalg.<name>, as cxla sees it, to count its calls in the one-element list returned."""
+    calls, real = [0], getattr(np.linalg, name)
 
     def counted(*args, **kwargs):
         calls[0] += 1
-        return svd(*args, **kwargs)
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(cxla.np.linalg, "svd", counted)
+    monkeypatch.setattr(cxla.np.linalg, name, counted)
     return calls
 
 
@@ -86,7 +86,7 @@ def test_orthonormal_columns_verdict_reads_singular_values_not_the_r_diagonal(mo
     m = _frame_times_unit_triangle(rng, 24)
     s = np.linalg.svd(m, compute_uv=False)
     assert s[-1] / s[0] > 100 * cxla.RANK_TOL
-    calls = _count_svd_calls(monkeypatch)
+    calls = _count_calls(monkeypatch)
     assert cxla.orthonormal_columns(m).shape == (80, 24)
     assert calls == [1]
 
@@ -108,7 +108,7 @@ def test_rank_verdict_and_message_equal_the_svd_oracle(k, monkeypatch):
     # 1e-160 its rounding alone would certify some rank-deficient R) or
     # overflows, which must not warn either; one certificate serves the
     # rank floor of a basis and the PD_TOL floor of a Gram matrix r^H r
-    calls = _count_svd_calls(monkeypatch)
+    calls = _count_calls(monkeypatch)
     shape = (k + 3, k)
     for gram in (False, True):
         rng = np.random.default_rng(23)
@@ -126,12 +126,65 @@ def test_rank_verdict_and_message_equal_the_svd_oracle(k, monkeypatch):
         assert 0 < fallbacks < checked
 
 
-@pytest.mark.parametrize("n, m, draws", [(32, 16, 20), (128, 64, 5)])
+def _positive_q(m):
+    """numpy's Q of ``m``, each column times the sign of R's real diagonal entry: the Q whose R has a positive diagonal."""
+    q, r = np.linalg.qr(m)
+    return q * np.where(r.diagonal().real < 0.0, -1.0, 1.0)
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 16, 64])
+@pytest.mark.filterwarnings("error")
+def test_coordinates_verdict_and_values_equal_the_oracles(k, monkeypatch):
+    # a (k + 3)-by-k basis with geometric singular values from 1 down to
+    # each ratio, at scales where its Gram matrix underflows or overflows
+    # (neither may warn): RankDeficient with the SVD oracle's message on
+    # R11 exactly when the oracle raises, else Q_+^H a whichever route
+    # ran.  Q_+ is from numpy's QR of [basis | a], whose leading
+    # reflectors the QR route shares: near RANK_TOL, two QRs of the basis
+    # may differ by kappa u.
+    qr_calls = _count_calls(monkeypatch, "qr")
+    shape = (k + 3, k)
+    rng = np.random.default_rng(26)
+    routes = {"gram": 0, "qr": 0, "refused": 0}
+    for ratio in np.logspace(-1, -13, 49):
+        left = np.linalg.qr(_random_complex(rng, shape))[0]
+        right = np.linalg.qr(_random_complex(rng, (k, k)))[0]
+        unit = (left * np.geomspace(1.0, ratio, k)) @ right.conj().T
+        a = _random_complex(rng, (shape[0], 2))
+        for scale in (1e-200, 1e-160, 1e-120, 1e-20, 1.0, 1e20, 1e120, 1e150, 1e160):
+            basis = unit * scale
+            q, r = np.linalg.qr(np.hstack([basis, a]))
+            expected = _verdict(svd_full_rank_verdict, r[:k, :k], shape, False)
+            q = q[:, :k] * np.where(r.diagonal()[:k].real < 0.0, -1.0, 1.0)
+            before = qr_calls[0]
+            try:
+                y = cxla.coordinates(basis, a)
+            except RankDeficient as exc:
+                assert str(exc) == expected
+                routes["refused"] += 1
+                continue
+            assert expected is None
+            np.testing.assert_allclose(y, q.conj().T @ a, rtol=0.0, atol=1e-12 * np.abs(a).max() * shape[0])
+            routes["qr" if qr_calls[0] > before else "gram"] += 1
+    # both routes ran, and some bases were refused, though never a single column (k = 1)
+    assert routes["gram"] > 0 and routes["qr"] > 0 and (routes["refused"] > 0) == (k > 1), routes
+
+
+@pytest.mark.parametrize("n, m, draws", [(32, 16, 20), (128, 64, 5), (128, 72, 5)])
 def test_gaussian_draws_take_the_certificate(n, m, draws, monkeypatch):
+    # no SVD for any verdict, and no QR of an n-row matrix: every projection takes the Gram route
     def no_svd(*args, **kwargs):
         raise AssertionError("the rank verdict fell back to the SVD")
 
+    qr = np.linalg.qr
+
+    def no_tall_qr(a, *args, **kwargs):
+        if np.shape(a)[0] == n:
+            raise AssertionError(f"the projection ran a QR of shape {np.shape(a)}")
+        return qr(a, *args, **kwargs)
+
     monkeypatch.setattr(cxla.np.linalg, "svd", no_svd)
+    monkeypatch.setattr(cxla.np.linalg, "qr", no_tall_qr)
     model = UlaModel(two_source_half_rayleigh(n))
     g = model.jacobian(model.reference_theta)
     x_ref = model.mean(model.reference_theta)
@@ -157,17 +210,21 @@ def test_compressed_fim_shares_the_verdict():
     assert compressed_fim(g, basis.conj().T).G.shape == (24, 2)
 
 
-@pytest.mark.parametrize("shape, k", [((8, 3), 1), ((32, 16), 2), ((128, 64), 2), ((5, 5), 3)])
-def test_coordinates_are_q_conjugate_transpose_a(shape, k):
-    # Q from numpy's QR of the basis alone; the augmented QR uses the same
-    # reflectors on the leading columns, so the coordinates are in that Q
+@pytest.mark.parametrize("shape, k", [((8, 3), 1), ((32, 16), 2), ((128, 64), 2), ((5, 5), 3), ((80, 24), 2)])
+def test_coordinates_are_q_conjugate_transpose_a(shape, k, monkeypatch):
+    # Q_+ from numpy's QR of the basis alone: the Gram route's Cholesky
+    # factor is its R, and the QR route turns R12's rows to that R's signs
     rng = np.random.default_rng(22)
-    basis = _random_complex(rng, shape)
+    # (80, 24): the unit-triangle frame, singular value ratio about 1e-8, which only the QR route takes
+    basis = _frame_times_unit_triangle(rng, 24) if shape == (80, 24) else _random_complex(rng, shape)
     a = _random_complex(rng, (shape[0], k))
-    q = np.linalg.qr(basis)[0]
+    q = _positive_q(basis)
+    qr_calls = _count_calls(monkeypatch, "qr")
     y = cxla.coordinates(basis, a)
     assert y.shape == (shape[1], k)
     np.testing.assert_allclose(y, q.conj().T @ a, rtol=0.0, atol=1e-12 * np.abs(a).max() * shape[0])
+    if shape == (80, 24):
+        assert qr_calls == [1]
 
 
 @pytest.mark.parametrize("shape", [(8, 1), (8, 3), (32, 16), (128, 2), (5, 5)])

@@ -312,15 +312,10 @@ def test_compressed_fim_errors():
         compressed_fim(g, _random_complex(rng, (4, 7)))
 
 
-def test_compressed_fim_factors_the_compressor_once(monkeypatch):
-    # one R-only QR of [phi^H | G] gives the rank verdict (from its m-by-m
-    # block R11) and the coordinates Q^H G (the block R12 beside it); the
-    # n-by-m basis Q itself is never formed
-    model = UlaModel(two_source_half_rayleigh(128))
-    G = model.jacobian(model.reference_theta)
-    phi = sample(CompressorSpec(m=64, n=128, family="gaussian", seed=3), derive_stream(3, 0))
-    calls = {"qr": [], "svd": []}
-    for name in calls:
+def _record_linalg(monkeypatch, names) -> dict:
+    """Patch each np.linalg routine in ``names`` to record (shape, mode) of its calls in the dict returned."""
+    calls = {name: [] for name in names}
+    for name in names:
         real = getattr(np.linalg, name)
 
         def record(a, *args, _real=real, _name=name, **kwargs):
@@ -328,11 +323,30 @@ def test_compressed_fim_factors_the_compressor_once(monkeypatch):
             return _real(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, record)
+    return calls
+
+
+def test_compressed_fim_factors_the_compressor_once(monkeypatch):
+    # a well-conditioned phi takes the Gram route: one Cholesky of the
+    # shifted 64-by-64 block phi phi^H certifies it, and one Cholesky of
+    # [phi^H | G]^H [phi^H | G] is the R whose block R12 is Q^H G.  A phi
+    # the certificate refuses takes one R-only QR of [phi^H | G], whose
+    # block R11 gives the rank verdict.  The n-by-m basis Q is never formed.
+    model = UlaModel(two_source_half_rayleigh(128))
+    G = model.jacobian(model.reference_theta)
+    phi = sample(CompressorSpec(m=64, n=128, family="gaussian", seed=3), derive_stream(3, 0))
 
     def no_basis(m):
         raise AssertionError(f"an explicit basis of shape {np.shape(m)} was formed")
 
     monkeypatch.setattr(fisher.cxla, "orthonormal_columns", no_basis)
+    calls = _record_linalg(monkeypatch, ("qr", "svd", "cholesky"))
+    info = compressed_fim(G, phi)
+    assert calls == {"qr": [], "svd": [], "cholesky": [((64, 64), None), ((66, 66), None)]}
+    assert info.G.shape == (64, 2)
+    # one row 100 times weaker: a singular value ratio of 4.5e-3, below the certificate's reach
+    phi[0] *= 1e-2
+    calls = _record_linalg(monkeypatch, ("qr", "svd", "cholesky"))
     info = compressed_fim(G, phi)
     assert calls["qr"] == [((128, 66), "r")]
     assert {shape for shape, _ in calls["svd"]} <= {(64, 64)}
@@ -418,6 +432,30 @@ def test_normalized_fim_spectrum_in_unit_interval():
         w = normalized_fim(before, compressed_fim(g, phi))
         eigs = np.linalg.eigvalsh(w)
         assert eigs[0] > -1e-10 and eigs[-1] < 1.0 + 1e-10
+
+
+@pytest.mark.filterwarnings("error")
+def test_information_that_is_not_finite_is_refused_where_it_is_formed():
+    # J, Jhat and both divergences overflow here; each is refused once, without a numpy warning
+    rng = np.random.default_rng(44)
+    g = _random_complex(rng, (8, 2))
+    x1, x2 = _random_complex(rng, 8), _random_complex(rng, 8)
+    phi = _random_complex(rng, (4, 8))
+    for call in (
+        lambda: fim(1e160 * g),
+        lambda: fim(g, 1e-310),
+        lambda: compressed_fim(1e160 * g, phi),  # QR route: ||G||_F^2 overflows
+        lambda: compressed_fim(g, phi, 1e-310),  # Gram route, then the division
+        lambda: kl_divergence(1e160 * x1, x2),
+        lambda: kl_divergence(x1, x2, 1e-310),
+        lambda: compressed_kl(1e160 * x1, x2, 1.0, phi),
+        lambda: compressed_kl(x1, x2, 1e-310, phi),
+    ):
+        with pytest.raises(BadShape, match="not finite"):
+            call()
+    # large but finite: accepted
+    assert np.isfinite(compressed_fim(1e150 * g, phi).J).all()
+    assert np.isfinite(kl_divergence(1e150 * x1, x2))
 
 
 def test_kl_zero_for_equal_means():

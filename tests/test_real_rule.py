@@ -82,8 +82,31 @@ def test_scalar_points_keep_the_scalar_kernel():
         betalaw.beta_tails_pdf(LAW, np.array([0.3]))
 
 
+def test_a_bool_inside_a_list_is_not_made_a_number():
+    # np.asarray promotes [True, 0.3] to [1.0, 0.3], so the rule reads a list or tuple before it does
+    model = sigmodel.UlaModel(sigmodel.two_source_half_rayleigh(8))
+    samples = [0.3] * 199
+    for error, call in (
+        (BadShape, lambda: model.mean([True, 1])),
+        (BadShape, lambda: model.jacobian((1.0, False))),
+        (DomainError, lambda: betalaw.beta_cdf(LAW, [True, 0.3])),
+        (DomainError, lambda: betalaw.beta_cdf(LAW, [[0.2], [True]])),
+        (DomainError, lambda: betalaw.beta_quantile(LAW, (0.5, np.bool_(True)))),
+        (BadShape, lambda: mcharness.histogram(samples + [True])),
+        (BadShape, lambda: mcharness.ks_one_sample(samples + [True], lambda s: betalaw.beta_cdf(LAW, s))),
+    ):
+        with pytest.raises(error):
+            call()
+    # ints and floats mixed in a list stay numbers
+    np.testing.assert_array_equal(model.mean([1, 0.5]), model.mean(np.array([1.0, 0.5])))
+    np.testing.assert_array_equal(betalaw.beta_cdf(LAW, [[0.2], [1]]), betalaw.beta_cdf(LAW, np.array([[0.2], [1.0]])))
+
+
 def test_the_rules():
     assert all(is_real(v) for v in (1, 1.5, np.float32(1.5), np.int64(3), -np.inf))
     assert not any(is_real(v) for v in (True, np.bool_(True), 1j, "1", None, np.array(1.0), [1.0]))
     assert all(is_real_array(np.asarray(v)) for v in ([1, 2], [1.5], 0.5, np.arange(3, dtype=np.uint8)))
     assert not any(is_real_array(np.asarray(v)) for v in ([True], [1j], ["1"], [1.0, None]))
+    # a list or tuple is read before numpy promotes it
+    assert all(is_real_array(v) for v in ([1, 2.5], (np.float32(1.5), 2), [[0.2], [1]], [np.arange(2), [1, 2]], []))
+    assert not any(is_real_array(v) for v in ([True, 1], [[0.2], [True]], (0.5, np.bool_(False)), [1, 1j], [0.5, "1"]))
