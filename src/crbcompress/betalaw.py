@@ -1044,6 +1044,8 @@ def eig_joint_logpdf(lams, law: MatrixBetaLaw) -> float:
     diag(lams) times pi^{p(p-1)} / Gamma~_p(p) and the squared
     Vandermonde factor, so coincident eigenvalues give -inf.
     """
+    if not is_real_array(lams):
+        raise BadShape("eigenvalues must be real numbers, not bools, complex numbers or strings")
     lam = np.asarray(lams, dtype=np.float64).reshape(-1)
     if lam.shape[0] != law.p:
         raise BadShape(f"expected {law.p} eigenvalues, got {lam.shape[0]}")

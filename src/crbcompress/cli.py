@@ -248,13 +248,6 @@ def _ks_dict(ks: mcharness.KsResult | None):
 
 
 def _summary_payload(summary: mcharness.ExperimentSummary, record: dict) -> dict:
-    stats = {}
-    for name, s in summary.stats.items():
-        stats[name] = {"mean": s.mean, "variance": s.variance, "ks": _ks_dict(s.ks)}
-    if summary.w_mean is not None:
-        stats["w_mean"] = {"mean": summary.w_mean, "variance": None, "ks": None}
-    if summary.fim_mean is not None:
-        stats["fim_mean"] = {"mean": summary.fim_mean, "variance": None, "ks": None}
     return {
         "config": record,
         "n": summary.n,
@@ -263,7 +256,9 @@ def _summary_payload(summary: mcharness.ExperimentSummary, record: dict) -> dict
         "trials": summary.trials,
         "excluded_trials": summary.excluded_trials,
         "excluded_by_cause": summary.excluded_by_cause,
-        "statistics": stats,
+        "statistics": {
+            name: {"mean": s.mean, "variance": s.variance, "ks": _ks_dict(s.ks)} for name, s in summary.stats.items()
+        },
     }
 
 
@@ -287,17 +282,16 @@ def _histogram_rows(hist: mcharness.Histogram):
 
 def _write_campaign(out: Path, prefix: str, payload: dict, summary: mcharness.ExperimentSummary,
                     histogram: str = "histogram_{stat}.csv") -> list[str]:
-    """Summary JSON, samples CSV, and one histogram CSV per statistic; returns the file names."""
+    """Summary JSON, samples CSV, and one histogram CSV per sample statistic; returns the file names."""
     names = [f"{prefix}summary.json", f"{prefix}samples.csv"]
     _write_json(out / names[0], payload)
     _write_csv(out / names[1], ["trial", "statistic", "value"], _samples_rows(summary))
-    for stat in sorted(summary.histograms):
+    for stat in sorted(summary.stats):
+        hist = summary.stats[stat].histogram
+        if hist is None:
+            continue
         names.append(histogram.format(stat=stat))
-        _write_csv(
-            out / names[-1],
-            ["bin_left", "bin_right", "count", "density"],
-            _histogram_rows(summary.histograms[stat]),
-        )
+        _write_csv(out / names[-1], ["bin_left", "bin_right", "count", "density"], _histogram_rows(hist))
     return names
 
 
@@ -491,7 +485,7 @@ def _fig1(args, record: dict):
     # the figure draws the law, so a shape without one fails before the campaign
     law = betalaw.crb_ratio_law(n, m, config.model.p)
     summary = mcharness.run(config)
-    hist = summary.histograms["crb_ratio"]
+    hist = summary.stats["crb_ratio"].histogram
     lo, hi = float(hist.edges[0]), float(hist.edges[-1])
     xs = np.linspace(lo, hi, 512)
     pdf = np.asarray(betalaw.beta_pdf(law, np.clip(xs, 0.0, 1.0)))
@@ -630,11 +624,12 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     _add_scenario_flags(sub)
     _add_compressor_flags(sub)
     sub.add_argument("--trials", type=int, default=10000, help="compressor draws")
-    sub.add_argument("--stat", dest="statistics", action=_AppendOver, default=["crb_ratio"],
+    sub.add_argument("--stat", dest="statistics", action=_AppendOver,
+                     default=list(mcharness.ExperimentConfig.statistics),
                      choices=list(mcharness.STATISTICS), help="statistic to sample (repeatable)")
-    sub.add_argument("--crb-index", type=int, default=0, help="parameter of the crb_ratio")
+    sub.add_argument("--crb-index", type=int, default=0, help="parameter whose CRB ratio is sampled")
     sub.add_argument("--theta-alt", type=_float_list, default=None,
-                     help="second parameter point for kl_ratio")
+                     help="second parameter point, for the KL ratio")
     sub.add_argument("--bins", dest="histogram_bins", type=int, default=50, help="histogram bins")
     sub.add_argument("--alpha", dest="ks_alpha", type=float, default=0.01, help="KS significance level")
 

@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import BadShape, NotPositiveDefinite, RankDeficient
+from .errors import BadShape, NotPositiveDefinite, RankDeficient, is_complex_array
 
 # Relative rank cutoff: singular values below RANK_TOL times the largest
 # count as zero.
@@ -67,7 +67,7 @@ _CERT_RANGE = (1e-250, 1e250)
 
 def as_complex_matrix(a, name: str = "matrix") -> np.ndarray:
     """Validate and return ``a`` as a finite 2-D complex128 array."""
-    arr = np.asarray(a, dtype=np.complex128)
+    arr = np.asarray(_numbers(a, name), dtype=np.complex128)
     if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] == 0:
         raise BadShape(f"{name} must be a nonempty 2-D array, got shape {np.shape(a)}")
     return _finite(arr, name)
@@ -75,10 +75,17 @@ def as_complex_matrix(a, name: str = "matrix") -> np.ndarray:
 
 def as_complex_vector(a, name: str = "vector") -> np.ndarray:
     """Validate and return ``a`` as a finite 1-D complex128 array."""
-    arr = np.asarray(a, dtype=np.complex128)
+    arr = np.asarray(_numbers(a, name), dtype=np.complex128)
     if arr.ndim != 1 or arr.shape[0] == 0:
         raise BadShape(f"{name} must be a nonempty 1-D array, got shape {np.shape(a)}")
     return _finite(arr, name)
+
+
+def _numbers(a, name: str):
+    """``a`` itself, or BadShape unless it holds numbers (``errors.is_complex_array``)."""
+    if not is_complex_array(a):
+        raise BadShape(f"{name} must hold numbers, not bools, strings or objects")
+    return a
 
 
 def _finite(arr: np.ndarray, name: str) -> np.ndarray:

@@ -5,8 +5,8 @@ The bad-input classes (``BadShape``, ``BadSpec``, ``DomainError`` and
 numerical failure on valid input.  The command line exits 1 for a
 ``ValueError`` and 2 for any other error of this package.  The input
 rules every module shares live here too: ``is_int`` for counts and
-indices, ``is_real`` for real parameters and ``is_real_array`` for
-points and samples.
+indices, ``is_real`` for real parameters, ``is_real_array`` for points
+and samples and ``is_complex_array`` for complex array arguments.
 """
 
 import numbers
@@ -38,9 +38,30 @@ def is_real_array(value) -> bool:
     tuple is checked entry by entry before numpy promotes it, so the True
     in [True, 0.3] is refused, not read as 1.0.
     """
+    return _holds(value, is_real, "iuf")
+
+
+def is_complex_array(value) -> bool:
+    """Whether ``value`` holds numbers: ints, floats or complex numbers, not bools, strings or objects.
+
+    The rule for complex array arguments (Jacobians, compressors, means,
+    information matrices), read as ``is_real_array`` reads its values.
+    """
+    return _holds(value, _is_number, "iufc")
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Complex) and not isinstance(value, bool)
+
+
+def _holds(value, is_entry, kinds: str) -> bool:
+    """Whether every entry of ``value`` passes ``is_entry`` (lists and tuples) or its dtype kind is in ``kinds``."""
+    # an ndarray, the common case, pays for its dtype alone
+    if isinstance(value, np.ndarray):
+        return value.dtype.kind in kinds
     if isinstance(value, (list, tuple)):
-        return all(is_real(v) or is_real_array(v) for v in value)
-    return np.asarray(value).dtype.kind in "iuf"
+        return all(is_entry(v) or _holds(v, is_entry, kinds) for v in value)
+    return np.asarray(value).dtype.kind in kinds
 
 
 class CrbCompressError(Exception):

@@ -21,11 +21,13 @@ Per-trial statistics:
 
 ``run`` validates the config, runs one sequential loop over the trial
 kernel ``_Campaign.trial`` and reduces each statistic as its ``_TABLE``
-entry says.  A statistic is one ``_TABLE`` entry and one ``_Trial``
-attribute of its name.  A campaign runs for any m <= n, and for
-p < m <= n where it needs the information matrices; a sample statistic
-gets a KS verdict when at least 100 trials are kept and its own law
-covers (n, m, p), which in practice leaves out only m = n.
+entry says, into one ``StatSummary`` record in ``stats``.  A statistic
+is one ``_TABLE`` entry and one ``_Trial`` attribute of its name.  A
+campaign runs for any m <= n, and for p < m <= n where it needs the
+information matrices; a sample statistic gets a histogram, and a KS
+verdict when at least 100 trials are kept and its own law covers
+(n, m, p), which in practice leaves out only m = n.  A matrix statistic
+keeps only its p x p mean.
 
 Reproducibility: trial t draws from ``derive_stream(seed, t)`` and
 writes into slot t, so results are byte-identical for a given config
@@ -52,10 +54,10 @@ from .sigmodel import UlaModel
 class _Statistic:
     """How a campaign keeps one statistic, read off each trial as ``_Trial.<name>``.
 
-    A value of ``rank`` 0 or 1 (axes of length p) is a sample, with a KS
-    verdict against ``law(n, m, p)`` where that law exists; a complex
-    p x p value keeps only its mean, as the summary attribute of its
-    name.  ``need`` is the ``_Campaign`` piece its trials read.
+    A value of ``rank`` 0 or 1 (axes of length p) is a sample, with a
+    histogram and a KS verdict against ``law(n, m, p)`` where that law
+    exists; a complex p x p value keeps only its mean.  ``need`` is the
+    ``_Campaign`` piece its trials read.
     """
 
     rank: int
@@ -125,9 +127,12 @@ class Histogram:
 
 @dataclass(frozen=True)
 class StatSummary:
-    mean: float
-    variance: float
+    """One statistic's summary: a sample's moments, KS verdict and histogram, or a matrix statistic's p x p mean alone."""
+
+    mean: float | np.ndarray
+    variance: float | None
     ks: KsResult | None
+    histogram: Histogram | None
 
 
 @dataclass(eq=False)
@@ -155,21 +160,22 @@ class ExperimentConfig:
 
 @dataclass(eq=False)
 class ExperimentSummary:
+    """A campaign's outcome: the kept trials' samples and one ``StatSummary`` per statistic, in ``_TABLE`` order."""
+
     n: int
     m: int
     p: int
     trials: int
-    excluded_trials: int
     trial_index: np.ndarray
     # excluded trials per name in EXCLUSION_CAUSES
-    excluded_by_cause: dict = field(default_factory=dict)
+    excluded_by_cause: dict
     samples: dict = field(default_factory=dict)
-    histograms: dict = field(default_factory=dict)
     stats: dict = field(default_factory=dict)
-    w_mean: np.ndarray | None = None
-    fim_mean: np.ndarray | None = None
     duration_s: float = 0.0
-    config: ExperimentConfig | None = None
+
+    @property
+    def excluded_trials(self) -> int:
+        return sum(self.excluded_by_cause.values())
 
 
 def _check_alpha(alpha) -> None:
@@ -380,15 +386,14 @@ def run(config: ExperimentConfig) -> ExperimentSummary:
             f"(limit is {MAX_EXCLUDED_FRACTION:.1%})"
         )
     keep = cause == 0
-    kept_index = np.nonzero(keep)[0]
-    summary = ExperimentSummary(n=n, m=m, p=p, trials=trials, excluded_trials=excluded_count,
-                                trial_index=kept_index, excluded_by_cause=by_cause, config=config)
-    kept = int(kept_index.shape[0])
+    summary = ExperimentSummary(n=n, m=m, p=p, trials=trials, trial_index=np.nonzero(keep)[0],
+                                excluded_by_cause=by_cause)
+    kept = trials - excluded_count
     for name in names:
         stat = _TABLE[name]
         kept_values = values[name][keep]
         if stat.rank == 2:
-            setattr(summary, name, kept_values.mean(axis=0))
+            summary.stats[name] = StatSummary(mean=kept_values.mean(axis=0), variance=None, ks=None, histogram=None)
             continue
         summary.samples[name] = kept_values
         flat = kept_values.ravel()
@@ -398,8 +403,8 @@ def run(config: ExperimentConfig) -> ExperimentSummary:
         ks = None
         if law is not None:
             ks = ks_one_sample(flat, lambda x: betalaw.beta_cdf(law, x), config.ks_alpha)
-        summary.stats[name] = StatSummary(mean=mean, variance=variance, ks=ks)
-        summary.histograms[name] = histogram(flat, bins=config.histogram_bins)
+        summary.stats[name] = StatSummary(mean=mean, variance=variance, ks=ks,
+                                          histogram=histogram(flat, bins=config.histogram_bins))
 
     summary.duration_s = time.perf_counter() - t0
     return summary

@@ -189,6 +189,16 @@ def min_measurements(query: PlanQuery) -> int:
     )
 
 
+def _grid(values, what: str) -> list[float]:
+    """A grid's entries as floats, or DomainError unless it is a nonempty 1-D sequence of real numbers (``is_real``)."""
+    entries = values.tolist() if isinstance(values, np.ndarray) else values
+    if not isinstance(entries, (list, tuple)) or not all(is_real(v) for v in entries):
+        raise DomainError(f"{what} grid must be a one-dimensional list of real numbers, got {values!r}")
+    if len(entries) == 0:
+        raise DomainError(f"{what} grid is empty")
+    return [float(v) for v in entries]
+
+
 def curve(
     n: int,
     p: int,
@@ -200,14 +210,11 @@ def curve(
     Infeasible grid points come back as rows with ``feasible=False``
     instead of raising.
     """
-    if len(kappas) == 0:
-        raise DomainError("kappa grid is empty")
-    if len(confidences) == 0:
-        raise DomainError("confidence grid is empty")
+    kappas, confidences = _grid(kappas, "kappa"), _grid(confidences, "confidence")
     rows: list[PlanRow] = []
     for confidence in confidences:
         for kappa in kappas:
-            query = PlanQuery(n=n, p=p, kappa=float(kappa), confidence=float(confidence))
+            query = PlanQuery(n=n, p=p, kappa=kappa, confidence=confidence)
             try:
                 m = min_measurements(query)
             except Infeasible:

@@ -2,13 +2,13 @@
 
 Both families are right-orthogonally invariant, which is the only
 property the loss laws need: the row-space projector of a draw is then
-uniform over the Grassmannian.  ``stiefel`` orthonormalizes a
-``gaussian`` draw, keeping its row space, for rows with Phi Phi^H = I.
+uniform over the Grassmannian.  ``stiefel`` draws its own n x m
+gaussian array and returns the conjugate transpose of its
+phase-corrected QR factor, rows with Phi Phi^H = I.  That array is not
+the ``gaussian`` family's draw, so for one (seed, trial) the two
+families' draws have different row spaces; only their laws agree.
 Entries are drawn at unit variance; any other scale would leave the
-row space, and so every statistic, unchanged.  For the same reason
-``spherical_rows`` was removed: it gave each gaussian row's direction
-an independent sqrt(chi^2_2n / 2) radius, which makes a CN(0, I_n) row
-again, and row scaling leaves the row space as it was.
+row space, and so every statistic, unchanged.
 
 Streams are counter based: ``derive_stream(seed, trial)`` keys a Philox
 generator with the pair, so any trial of any campaign can be regenerated

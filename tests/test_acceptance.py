@@ -87,7 +87,7 @@ def test_criterion_3_normalized_fim_mean():
     )
     summary = run(config)
     assert summary.excluded_trials == 0
-    deviation = float(np.linalg.norm(summary.w_mean - 0.5 * np.eye(2)))
+    deviation = float(np.linalg.norm(summary.stats["w_mean"].mean - 0.5 * np.eye(2)))
     assert deviation < 0.01
 
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import crbcompress
-from crbcompress import cli, errors
+from crbcompress import cli, errors, mcharness
 from crbcompress.betalaw import BetaLaw, beta_cdf, beta_pdf
 from crbcompress.mcharness import ExperimentConfig, run
 from crbcompress.randcomp import CompressorSpec
@@ -200,6 +200,22 @@ def test_simulate_writes_everything(tmp_path, capsys):
     hist_rows = _read_csv(out / "histogram_crb_ratio.csv")
     assert hist_rows[0] == ["bin_left", "bin_right", "count", "density"]
     assert sum(int(r[2]) for r in hist_rows[1:]) == 150
+
+
+def test_simulate_reports_every_statistic_in_table_order(tmp_path, capsys):
+    out = tmp_path / "all"
+    args = ["simulate", "--n", "16", "--m", "6", "--trials", "40", "--seed", "5",
+            "--theta-alt", "0.011,0.081", "--out", str(out)]
+    for name in reversed(mcharness.STATISTICS):
+        args += ["--stat", name]
+    assert cli.main(args) == 0
+    capsys.readouterr()
+    statistics = json.loads((out / "summary.json").read_text())["statistics"]
+    assert list(statistics) == list(mcharness.STATISTICS)
+    assert all(set(entry) == {"mean", "variance", "ks"} for entry in statistics.values())
+    # a histogram per sample statistic (rank 0 or 1), none for a matrix mean
+    histograms = {path.name for path in out.glob("histogram_*.csv")}
+    assert histograms == {f"histogram_{name}.csv" for name, stat in mcharness._TABLE.items() if stat.rank < 2}
 
 
 def test_simulate_is_byte_reproducible(tmp_path, capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from crbcompress import betalaw, fisher, mcharness, planner, sigmodel
-from crbcompress.errors import BadShape, BadSpec, DomainError, is_real, is_real_array
+from crbcompress.errors import BadShape, BadSpec, DomainError, is_complex_array, is_real, is_real_array
 
 G = np.eye(4, 2, dtype=complex)
 J = np.array([[2.0, 0.5], [0.5, 1.0]])
@@ -110,3 +110,62 @@ def test_the_rules():
     # a list or tuple is read before numpy promotes it
     assert all(is_real_array(v) for v in ([1, 2.5], (np.float32(1.5), 2), [[0.2], [1]], [np.arange(2), [1, 2]], []))
     assert not any(is_real_array(v) for v in ([True, 1], [[0.2], [True]], (0.5, np.bool_(False)), [1, 1j], [0.5, "1"]))
+
+
+def test_plan_grids_take_the_real_rule():
+    # curve used to float() each entry first, so a grid of "3" planned kappa = 3
+    # and [True, 2.0] was refused as "kappa 1.0"
+    for kappas, confidences in (
+        (["3"], [0.9]),
+        ([3.0], ["0.9"]),
+        ([True, 2.0], [0.9]),
+        ([1 + 2j], [0.9]),
+        (["x"], [0.9]),
+        (2.0, [0.9]),
+        ([[2.0]], [0.9]),
+        (np.array([[2.0, 3.0]]), [0.9]),
+    ):
+        with pytest.raises(DomainError, match="grid"):
+            planner.curve(128, 2, kappas, confidences)
+    # ints and numpy arrays of reals still plan, with float kappa and confidence in the rows
+    rows = planner.curve(128, 2, np.array([3]), (np.float64(0.9),))
+    assert rows == planner.curve(128, 2, [3.0], [0.9])
+    assert type(rows[0].kappa) is float and type(rows[0].confidence) is float
+
+
+def test_eigenvalue_points_take_the_real_rule():
+    law = betalaw.MatrixBetaLaw(p=2, m=4, n=8)
+    for lams in (["0.3", "0.5"], [True, 0.5], [0.3 + 0j, 0.5], np.array([0.3 + 0.7j, 0.5])):
+        with pytest.raises(BadShape):
+            betalaw.eig_joint_logpdf(lams, law)
+    assert betalaw.eig_joint_logpdf([0.3, 1], law) == betalaw.eig_joint_logpdf(np.array([0.3, 1.0]), law)
+
+
+def test_complex_array_arguments_refuse_bools_strings_and_objects():
+    law = betalaw.MatrixBetaLaw(p=2, m=4, n=8)
+    for call in (
+        lambda: fisher.fim([["1", "0"], ["0", "1"], ["1", "1"]]),
+        lambda: fisher.fim([[True, False], [False, True], [True, True]]),
+        lambda: fisher.fim(np.array([[True, False], [False, True], [True, True]])),
+        lambda: fisher.fim(np.array([[1, 0], [0, 1], [1, "1"]], dtype=object)),
+        lambda: fisher.compressed_fim(G, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, np.bool_(True), 0]]),
+        lambda: fisher.kl_divergence(["1", "2"], ["0", "0"]),
+        lambda: fisher.kl_divergence(np.array([1.0, 2.0]), (0, False)),
+        lambda: betalaw.matrix_beta_logpdf([["0.5", "0"], ["0", "0.5"]], law),
+    ):
+        with pytest.raises(BadShape):
+            call()
+    # ints, floats and complex numbers, in lists or arrays, are still numbers
+    np.testing.assert_array_equal(fisher.fim([[1, 0], [0, 1j], [1.0, 1]]).J,
+                                  fisher.fim(np.array([[1, 0], [0, 1j], [1, 1]])).J)
+    assert fisher.kl_divergence([1, 2j], (0, 0.0)) == fisher.kl_divergence(np.array([1, 2j]), np.zeros(2))
+
+
+def test_the_complex_array_rule():
+    assert all(is_complex_array(v) for v in (
+        np.eye(2), np.arange(3), np.array([1j]), [1, 2.5, 1j], (np.complex64(1j), np.int8(2)), [[1j], [2]], [], 0.5,
+    ))
+    assert not any(is_complex_array(v) for v in (
+        np.array([True]), np.array(["1"]), np.array([1, None]), [True, 1], [[1j], [False]], (1, np.bool_(True)),
+        ["1"], [1, None], "1", None,
+    ))
